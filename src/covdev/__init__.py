@@ -24,6 +24,7 @@ from .bounds import (
 from .montecarlo import (
     MomentEstimate,
     SimConfig,
+    estimate_deviation,
     estimate_opnorm_deviation,
     estimate_schatten_trace,
     sample_deviation,
@@ -82,5 +83,5 @@ __all__ = [
     "ExactMoment", "joint_moment", "joint_moment_table",
     "offdiag_trace_moment", "diag_trace_moment", "full_trace_moment",
     "SimConfig", "MomentEstimate", "sample_stream", "sample_deviation",
-    "estimate_opnorm_deviation", "estimate_schatten_trace", "tightness_report",
+    "estimate_deviation", "estimate_opnorm_deviation", "estimate_schatten_trace", "tightness_report",
 ]

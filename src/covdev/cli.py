@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints one JSON report envelope on stdout; diagnostics go
-to stderr.  Exit status: 0 success, 1 verification failure, 2 input error.
+to stderr.  Exit status: 0 success, 1 verification failure, 2 input or
+resource error (including an eigensolver failure or running out of memory).
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
 envelope timestamp is the only varying field).
@@ -25,9 +26,7 @@ import numpy as np
 from . import __version__, bounds, montecarlo, oracle, shapes
 from .params import compute_params, compute_schatten_params
 from .profile import (
-    ProfileDomainError,
     ProfileFamily,
-    ProfileFormatError,
     ResourceLimitError,
     VarianceProfile,
     _parse_cell,
@@ -130,13 +129,20 @@ def _bound_config(args) -> bounds.BoundConfig:
     )
 
 
+def _read_profile(args) -> tuple[VarianceProfile, bytes]:
+    with open(args.profile, "rb") as fh:
+        raw = fh.read()
+    fmt = args.profile_format or ("json" if args.profile.endswith(".json") else "csv")
+    return load_profile(raw, format=fmt), raw
+
+
 def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
     """Build the profile and the bytes its digest is computed from."""
     if args.profile and not args.family:
-        raw = open(args.profile, "rb").read()
-        fmt = args.profile_format or ("json" if args.profile.endswith(".json") else "csv")
-        return load_profile(raw, format=fmt), raw
+        return _read_profile(args)
     if args.family:
+        if args.profile and args.family != "bounded_ratio":
+            raise ValueError(f"--profile is only read as the base of --family bounded_ratio, not {args.family}")
         if args.d is None or args.n is None:
             raise ValueError("--family requires --d and --n")
         if args.family == "constant":
@@ -156,10 +162,7 @@ def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
         else:  # bounded_ratio
             if args.K is None or not args.profile:
                 raise ValueError("bounded_ratio requires --K and a base --profile")
-            raw = open(args.profile, "rb").read()
-            fmt = args.profile_format or ("json" if args.profile.endswith(".json") else "csv")
-            base = load_profile(raw, format=fmt)
-            fam = ProfileFamily.bounded_ratio(args.K, base)
+            fam = ProfileFamily.bounded_ratio(args.K, _read_profile(args)[0])
         prof = generate(fam, args.d, args.n)
         return prof, prof.to_csv().encode()
     raise ValueError("a profile is required: --profile FILE or --family NAME --d D --n N")
@@ -213,13 +216,8 @@ def cmd_bounds(args) -> tuple[dict, bytes, int]:
 
 def cmd_simulate(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
-    cfg = montecarlo.SimConfig(
-        seed=args.seed, samples=args.samples,
-        p_list=tuple(args.p), norm_method=args.norm_method,
-    )
-    estimates = [montecarlo.estimate_opnorm_deviation(B, cfg)]
-    for p in cfg.p_list:
-        estimates.append(montecarlo.estimate_schatten_trace(B, p, cfg))
+    cfg = montecarlo.SimConfig(seed=args.seed, samples=args.samples, p_list=tuple(args.p))
+    estimates = montecarlo.estimate_deviation(B, cfg)
     payload = {"config": cfg.to_dict(), "estimates": [e.to_dict() for e in estimates]}
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -360,7 +358,6 @@ def _random_rational_profile(rng: np.random.Generator, d: int, n: int) -> Varian
 def cmd_verify(args) -> tuple[dict, bytes, int]:
     rng = np.random.default_rng(args.seed)
     profiles = [_random_rational_profile(rng, args.d, args.n) for _ in range(args.profiles)]
-    corrupt = getattr(args, "corrupt_l", False)
     checks = []
 
     # joint moment table: nonnegative, zero exactly at odd n or (0, 1)
@@ -375,14 +372,7 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
     mism = 0
     for B in profiles:
         for p in range(1, args.pmax + 1):
-            sv = 0
-            for s in shapes.enumerate_shapes(p):
-                ell = shapes.L_value(s)
-                if corrupt:
-                    ell *= 2
-                if ell:
-                    sv += ell * shapes.W_value(s, B)
-            if sv != oracle.offdiag_trace_moment(B, p).value:
+            if shapes.trace_moment_via_shapes(B, p) != oracle.offdiag_trace_moment(B, p).value:
                 mism += 1
     checks.append({"name": "shape_sum_vs_oracle", "pass": mism == 0, "mismatches": mism})
 
@@ -425,7 +415,7 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
 
 def cmd_compare(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
-    cfg = montecarlo.SimConfig(seed=args.seed, samples=args.samples, norm_method=args.norm_method)
+    cfg = montecarlo.SimConfig(seed=args.seed, samples=args.samples)
     payload = montecarlo.tightness_report(B, cfg, _bound_config(args))
     return payload, raw, 0
 
@@ -457,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--seed", type=int, default=0)
     sm.add_argument("--samples", type=int, default=200)
     sm.add_argument("--p", type=_parse_int_list, default=[], help="even Schatten orders to estimate")
-    sm.add_argument("--norm-method", choices=["dense_eigen", "power_iteration"], default="dense_eigen")
     sm.add_argument("--csv", help="also write estimates to this CSV file")
     sm.set_defaults(fn=cmd_simulate)
 
@@ -488,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--pmax", type=int, default=4)
     sv.add_argument("--profiles", type=int, default=20)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--corrupt-l", action="store_true", help=argparse.SUPPRESS)
     sv.set_defaults(fn=cmd_verify)
 
     sc = subs.add_parser("compare", help="simulation against the bounds (tightness table)")
@@ -496,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bound_args(sc)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--samples", type=int, default=200)
-    sc.add_argument("--norm-method", choices=["dense_eigen", "power_iteration"], default="dense_eigen")
     sc.set_defaults(fn=cmd_compare)
 
     return parser
@@ -517,15 +504,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, raw, status = args.fn(args)
-    except (ProfileFormatError, ProfileDomainError) as exc:
+    except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if getattr(exc, "line", None) is not None:
             err["error"]["line"] = exc.line
-        print(dumps_canonical(_envelope(args.command, err, None)))
-        print(f"covdev: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ResourceLimitError, OSError) as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dumps_canonical(_envelope(args.command, err, None)))
         print(f"covdev: {exc}", file=sys.stderr)
         return 2

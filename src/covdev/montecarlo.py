@@ -1,24 +1,24 @@
 """Seeded simulation of X = B * G and its deviation matrix X X^T - E X X^T.
 
-Reproducibility contract: sample i draws from an independent Philox stream
-obtained by jumping the keyed generator i times, so results do not depend on
-scheduling and are identical for identical (seed, samples, method) on one
-build.  Aggregation over samples is a fixed-order compensated sum.  Normal
-variates come from numpy's ziggurat implementation; bit-equality across
-numpy versions or other libraries is out of scope.
+Each sample is one draw and one dense eigensolve: the operator norm and every
+requested Schatten trace come from the same eigenvalues.  Reproducibility
+contract: sample i draws from an independent Philox stream obtained by
+jumping the keyed generator i times, so results do not depend on scheduling
+and are identical for identical (seed, samples) on one build.  Aggregation
+over samples is a fixed-order compensated sum.  Normal variates come from
+numpy's ziggurat implementation; bit-equality across numpy versions or other
+libraries is out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import BoundConfig, chz_bound, free_probability_bound, lower_bound_opnorm, main_upper_bound
 from .profile import VarianceProfile
-
-DENSE_EIGEN_LIMIT = 2000  # above this, prefer power iteration
 
 
 class EigenConvergenceError(RuntimeError):
@@ -29,36 +29,28 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings.  dense_eigen is appropriate up to about
-    d = DENSE_EIGEN_LIMIT; prefer power_iteration beyond that."""
+    """Simulation settings; p_list holds the even Schatten orders to estimate."""
 
     seed: int = 0
     samples: int = 200
     p_list: tuple[int, ...] = ()
-    norm_method: str = "dense_eigen"  # or "power_iteration"
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("samples must be >= 2 for a standard error")
-        if self.norm_method not in ("dense_eigen", "power_iteration"):
-            raise ValueError(f"unknown norm_method {self.norm_method!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        for p in self.p_list:
+            if not isinstance(p, int) or p < 2 or p % 2:
+                raise ValueError(f"p must be an even integer >= 2, got {p!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "p_list": list(self.p_list),
-            "norm_method": self.norm_method,
-            "tolerance": self.tolerance,
-        }
+        return {"seed": self.seed, "samples": self.samples, "p_list": list(self.p_list)}
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    target: str  # "opnorm" | "schatten_trace(p)" | "diag_opnorm"
+    target: str  # "opnorm" | "schatten_trace(p)"
     mean: float
     stderr: float
     samples: int
@@ -98,35 +90,6 @@ def sample_deviation(B: VarianceProfile, rng: np.random.Generator) -> np.ndarray
     return M
 
 
-def _abs_opnorm(M: np.ndarray, method: str, tol: float, rng: np.random.Generator, index: int) -> float:
-    if method == "dense_eigen":
-        try:
-            vals = np.linalg.eigvalsh(M)
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(index, str(exc)) from exc
-        return float(max(abs(vals[0]), abs(vals[-1])))
-    # power iteration on M^2: converges to the largest |eigenvalue|
-    d = M.shape[0]
-    v = rng.standard_normal(d)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        v = np.ones(d)
-        norm = math.sqrt(d)
-    v /= norm
-    est = 0.0
-    for _ in range(10000):
-        w = M @ (M @ v)
-        wnorm = np.linalg.norm(w)
-        if wnorm == 0:
-            return 0.0
-        v = w / wnorm
-        new_est = math.sqrt(float(v @ (M @ (M @ v))))
-        if abs(new_est - est) <= tol * max(1.0, new_est):
-            return new_est
-        est = new_est
-    raise EigenConvergenceError(index, f"power iteration did not reach tol {tol}")
-
-
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     s = len(values)
     mean = math.fsum(values) / s
@@ -134,49 +97,40 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var) / math.sqrt(s)
 
 
+def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimate]:
+    """Mean and standard error of ||M|| and of Tr(M^p) for each p in
+    cfg.p_list, M = X X^T - E X X^T, over cfg.samples draws.
+
+    Each sample is drawn and decomposed once.  Returns the opnorm estimate
+    followed by one schatten_trace(p) estimate per entry of cfg.p_list; those
+    also report mean**(1/p).  For even p the trace is nonnegative.
+    """
+    rows = []
+    for i in range(cfg.samples):
+        M = sample_deviation(B, sample_stream(cfg.seed, i))
+        try:
+            vals = np.linalg.eigvalsh(M)
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(i, str(exc)) from exc
+        rows.append([float(max(abs(vals[0]), abs(vals[-1])))] + [float(np.sum(vals**p)) for p in cfg.p_list])
+    (mean, stderr), *traces = (_mean_stderr(col) for col in zip(*rows))
+    out = [MomentEstimate(target="opnorm", mean=mean, stderr=stderr, samples=cfg.samples, seed=cfg.seed)]
+    for p, (mean, stderr) in zip(cfg.p_list, traces):
+        out.append(MomentEstimate(
+            target=f"schatten_trace({p})", mean=mean, stderr=stderr, samples=cfg.samples,
+            seed=cfg.seed, mean_root=mean ** (1.0 / p) if mean >= 0 else None,
+        ))
+    return out
+
+
 def estimate_opnorm_deviation(B: VarianceProfile, cfg: SimConfig) -> MomentEstimate:
     """Mean and standard error of ||X X^T - E X X^T|| over cfg.samples draws."""
-    values = []
-    for i in range(cfg.samples):
-        rng = sample_stream(cfg.seed, i)
-        M = sample_deviation(B, rng)
-        values.append(_abs_opnorm(M, cfg.norm_method, cfg.tolerance, rng, i))
-    mean, stderr = _mean_stderr(values)
-    return MomentEstimate(target="opnorm", mean=mean, stderr=stderr, samples=cfg.samples, seed=cfg.seed)
+    return estimate_deviation(B, replace(cfg, p_list=()))[0]
 
 
 def estimate_schatten_trace(B: VarianceProfile, p: int, cfg: SimConfig) -> MomentEstimate:
-    """Mean of Tr(M^p) over samples, M the deviation matrix, via eigenvalues.
-
-    Also reports mean**(1/p).  For even p the trace is nonnegative.
-    """
-    if not isinstance(p, int) or p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p!r}")
-    values = []
-    for i in range(cfg.samples):
-        rng = sample_stream(cfg.seed, i)
-        M = sample_deviation(B, rng)
-        vals = np.linalg.eigvalsh(M)
-        values.append(float(np.sum(vals**p)))
-    mean, stderr = _mean_stderr(values)
-    root = mean ** (1.0 / p) if mean >= 0 else None
-    return MomentEstimate(
-        target=f"schatten_trace({p})", mean=mean, stderr=stderr,
-        samples=cfg.samples, seed=cfg.seed, mean_root=root,
-    )
-
-
-def estimate_diag_opnorm(B: VarianceProfile, cfg: SimConfig) -> MomentEstimate:
-    """Mean of ||Diag(X X^T) - E X X^T|| = max_i |sum_j b_ij^2 (g_ij^2 - 1)|."""
-    arr2 = B.as_array() ** 2
-    values = []
-    for i in range(cfg.samples):
-        rng = sample_stream(cfg.seed, i)
-        g = rng.standard_normal(size=arr2.shape)
-        dev = (arr2 * (g * g - 1.0)).sum(axis=1)
-        values.append(float(np.abs(dev).max()))
-    mean, stderr = _mean_stderr(values)
-    return MomentEstimate(target="diag_opnorm", mean=mean, stderr=stderr, samples=cfg.samples, seed=cfg.seed)
+    """Mean of Tr(M^p) over samples, M the deviation matrix; see estimate_deviation."""
+    return estimate_deviation(B, replace(cfg, p_list=(p,)))[1]
 
 
 def tightness_report(B: VarianceProfile, cfg: SimConfig, bcfg: BoundConfig | None = None) -> dict:

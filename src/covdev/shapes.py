@@ -16,12 +16,14 @@ which the oracle module recomputes independently by direct expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
+from .oracle import _mu
 from .params import compute_params, compute_schatten_params
 from .profile import ResourceLimitError, VarianceProfile
 
@@ -195,23 +197,10 @@ def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
     return shapes
 
 
-def _double_factorial_odd(k: int) -> int:
-    """(k-1)!! for even k >= 0; the 2m-th moment of a standard Gaussian at k = 2m."""
-    out = 1
-    for j in range(k - 1, 0, -2):
-        out *= j
-    return out
-
-
 def L_value(s: Shape) -> int:
-    """Gaussian expectation attached to the shape: prod_e (k_e - 1)!! if every
-    multiplicity is even, else 0."""
-    out = 1
-    for k in s.edge_mult.values():
-        if k % 2:
-            return 0
-        out *= _double_factorial_odd(k)
-    return out
+    """Gaussian expectation attached to the shape: prod_e E g^{k_e}, which is
+    prod_e (k_e - 1)!! if every multiplicity is even, else 0."""
+    return math.prod(_mu(k) for k in s.edge_mult.values())
 
 
 def W_value(s: Shape, B: VarianceProfile):

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from covdev import shapes
 from covdev.cli import dumps_canonical, main
 
 
@@ -70,6 +72,15 @@ class TestParamsCommand:
         assert status == 2
         assert "error" in payload_of(out)
 
+    def test_profile_with_non_bounded_ratio_family_exit_2(self, capsys, profile_file):
+        status, out, err = run_cli(
+            capsys, "params", "--family", "constant", "--d", "2", "--n", "2", "--profile", profile_file
+        )
+        assert status == 2
+        assert payload_of(out)["error"]["type"] == "ValueError"
+        assert "--profile" in payload_of(out)["error"]["message"]
+        assert "Traceback" not in err
+
     def test_envelope_fields(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "params", "--profile", profile_file)
         env = json.loads(out)
@@ -129,6 +140,37 @@ class TestSimulateCommand:
         _, out1, _ = run_cli(capsys, "simulate", "--profile", profile_file, "--seed", "3", "--samples", "8")
         _, out2, _ = run_cli(capsys, "simulate", "--profile", profile_file, "--seed", "3", "--samples", "8")
         assert strip_timestamp(out1) == strip_timestamp(out2)
+
+    def test_odd_p_exit_2_before_sampling(self, capsys, profile_file, monkeypatch):
+        def no_sampling(*a):
+            raise AssertionError("sampled before validating --p")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_sampling)
+        status, out, _ = run_cli(capsys, "simulate", "--profile", profile_file, "--samples", "5", "--p", "2,3")
+        assert status == 2
+        assert payload_of(out)["error"]["message"] == "p must be an even integer >= 2, got 3"
+
+    def test_eigensolver_failure_exit_2(self, capsys, profile_file, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        status, out, err = run_cli(capsys, "simulate", "--profile", profile_file, "--samples", "5", "--p", "2")
+        assert status == 2
+        error = payload_of(out)["error"]
+        assert error["type"] == "EigenConvergenceError"
+        assert "sample 0" in error["message"]
+        assert "Traceback" not in err
+
+    def test_memory_error_exit_2(self, capsys, profile_file, monkeypatch):
+        def exhausted(M):
+            raise MemoryError("cannot allocate workspace")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+        status, out, err = run_cli(capsys, "compare", "--profile", profile_file, "--samples", "5")
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "MemoryError", "message": "cannot allocate workspace"}
+        assert "Traceback" not in err
 
 
 class TestOracleCommand:
@@ -203,13 +245,17 @@ class TestVerifyCommand:
             "schatten_shape_ceiling", "diag_ratio_window",
         }
 
-    def test_corrupted_l_fails_exit_1(self, capsys):
-        status, out, _ = run_cli(
-            capsys, "verify", "--d", "2", "--n", "2", "--pmax", "2", "--profiles", "3", "--corrupt-l"
+    def test_corrupted_l_fails_exit_1(self, capsys, monkeypatch):
+        true_l = shapes.L_value
+        monkeypatch.setattr(shapes, "L_value", lambda s: 2 * true_l(s))
+        status, out, err = run_cli(
+            capsys, "verify", "--d", "2", "--n", "2", "--pmax", "2", "--profiles", "3"
         )
         assert status == 1
         checks = {c["name"]: c for c in payload_of(out)["checks"]}
         assert checks["shape_sum_vs_oracle"]["pass"] is False
+        assert checks["shape_sum_vs_oracle"]["mismatches"] > 0
+        assert "Traceback" not in err
 
     def test_p1_vacuous(self, capsys):
         status, out, _ = run_cli(capsys, "verify", "--pmax", "1", "--profiles", "2")

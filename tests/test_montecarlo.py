@@ -9,6 +9,7 @@ from covdev import (
     SimConfig,
     VarianceProfile,
     diag_trace_moment,
+    estimate_deviation,
     estimate_opnorm_deviation,
     estimate_schatten_trace,
     full_trace_moment,
@@ -20,7 +21,7 @@ from covdev import (
     sample_stream,
     tightness_report,
 )
-from covdev.montecarlo import estimate_diag_opnorm
+from covdev import montecarlo
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
@@ -109,17 +110,62 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_schatten_trace(B2212, 3, SimConfig(seed=0, samples=5))
 
-    def test_power_iteration_agrees_with_dense(self):
-        B = generate(ProfileFamily.constant(), 6, 8)
-        dense = estimate_opnorm_deviation(B, SimConfig(seed=4, samples=10, norm_method="dense_eigen"))
-        power = estimate_opnorm_deviation(B, SimConfig(seed=4, samples=10, norm_method="power_iteration"))
-        assert dense.mean == pytest.approx(power.mean, rel=1e-7)
 
-    def test_diag_opnorm_estimate(self):
-        B = generate(ProfileFamily.constant(), 3, 50)
-        est = estimate_diag_opnorm(B, SimConfig(seed=6, samples=200))
-        assert est.target == "diag_opnorm"
-        assert est.mean > 0
+def _reference_estimates(B, seed, samples, p_list):
+    """Per-sample draw, dense eigensolve and reduction, written out in full."""
+    opnorms, traces = [], {p: [] for p in p_list}
+    for i in range(samples):
+        vals = np.linalg.eigvalsh(sample_deviation(B, sample_stream(seed, i)))
+        opnorms.append(float(max(abs(vals[0]), abs(vals[-1]))))
+        for p in p_list:
+            traces[p].append(float(np.sum(vals**p)))
+    return [montecarlo._mean_stderr(opnorms)] + [montecarlo._mean_stderr(traces[p]) for p in p_list]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("B, samples", [
+        (B2212, 300),
+        (generate(ProfileFamily.constant(), 20, 40), 30),
+    ], ids=["2x2", "constant-20x40"])
+    def test_bit_identical_to_reference_loop(self, B, samples):
+        cfg = SimConfig(seed=17, samples=samples, p_list=(2, 4))
+        ests = estimate_deviation(B, cfg)
+        assert [e.target for e in ests] == ["opnorm", "schatten_trace(2)", "schatten_trace(4)"]
+        assert [(e.mean, e.stderr) for e in ests] == _reference_estimates(B, 17, samples, (2, 4))
+
+    def test_single_target_entry_points_select(self):
+        cfg = SimConfig(seed=4, samples=25, p_list=(2, 4))
+        opnorm, tr2, tr4 = estimate_deviation(B2212, cfg)
+        assert estimate_opnorm_deviation(B2212, cfg) == opnorm
+        assert estimate_schatten_trace(B2212, 2, cfg) == tr2
+        assert estimate_schatten_trace(B2212, 4, cfg) == tr4
+        assert tr4.mean_root == tr4.mean ** 0.25
+
+    def test_one_draw_and_one_eigensolve_per_sample(self, monkeypatch):
+        calls = {"draw": 0, "eig": 0}
+        draw, eig = montecarlo.sample_deviation, np.linalg.eigvalsh
+
+        def counted_draw(*a):
+            calls["draw"] += 1
+            return draw(*a)
+
+        def counted_eig(*a):
+            calls["eig"] += 1
+            return eig(*a)
+
+        monkeypatch.setattr(montecarlo, "sample_deviation", counted_draw)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eig)
+        estimate_deviation(B2212, SimConfig(seed=0, samples=12, p_list=(2, 4, 6)))
+        assert calls == {"draw": 12, "eig": 12}
+
+    def test_eigensolver_failure_names_the_sample(self, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(montecarlo.EigenConvergenceError) as info:
+            estimate_schatten_trace(B2212, 2, SimConfig(seed=0, samples=3))
+        assert info.value.sample_index == 0
 
 
 class TestSimConfig:
@@ -127,9 +173,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=0, samples=1)
 
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, samples=10, norm_method="magic")
+    @pytest.mark.parametrize("p_list", [(3,), (0,), (2, 5), (2.0,)])
+    def test_p_list_must_be_even_ints_from_2(self, p_list):
+        with pytest.raises(ValueError, match="even integer"):
+            SimConfig(seed=0, samples=10, p_list=p_list)
+
+    def test_to_dict_keys(self):
+        assert SimConfig(seed=1, samples=5, p_list=(2, 4)).to_dict() == {"seed": 1, "samples": 5, "p_list": [2, 4]}
 
     def test_seed_range(self):
         with pytest.raises(ValueError):

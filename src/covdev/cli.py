@@ -136,6 +136,12 @@ def _read_profile(args) -> tuple[VarianceProfile, bytes]:
     return load_profile(raw, format=fmt), raw
 
 
+# the family options (besides --d and --n) each --family reads
+_FAMILY_READS = {
+    "constant": (), "iid_columns": ("b",), "iid_rows": ("b",), "rank_one": ("a", "b"), "bounded_ratio": ("K",),
+}
+
+
 def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
     """Build the profile and the bytes its digest is computed from."""
     if args.profile and not args.family:
@@ -143,6 +149,10 @@ def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
     if args.family:
         if args.profile and args.family != "bounded_ratio":
             raise ValueError(f"--profile is only read as the base of --family bounded_ratio, not {args.family}")
+        reads = _FAMILY_READS[args.family]
+        unread = [f"--{k}" for k in ("a", "b", "K") if getattr(args, k) is not None and k not in reads]
+        if unread:
+            raise ValueError(f"--family {args.family} does not read {', '.join(unread)}")
         if args.d is None or args.n is None:
             raise ValueError("--family requires --d and --n")
         if args.family == "constant":
@@ -304,10 +314,7 @@ def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> V
         a = rng.uniform(0.5, 1.5, size=d)
         b = rng.uniform(0.5, 1.5, size=n)
         return generate(ProfileFamily.rank_one(a, b), d, n)
-    base = VarianceProfile(
-        tuple(tuple(float(x) for x in row) for row in rng.uniform(0.5, 1.5, size=(d, n))),
-        exact=False,
-    )
+    base = VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n)), exact=False)
     return generate(ProfileFamily.bounded_ratio(1.0, base), d, n)
 
 

@@ -85,7 +85,7 @@ def _entry_matrix(B: VarianceProfile):
     floats with denominator None otherwise."""
     if B.exact:
         return B.integerized()
-    return [[float(x) for x in row] for row in B.entries], None
+    return B.as_array().tolist(), None
 
 
 def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:

@@ -24,12 +24,15 @@ leading term then vanishes), positive/0 -> +inf.  For d = 1 the maxima over
 i != l are empty and sigma_tilde = sigma_inf = 0.
 
 Float reductions use numpy's pairwise accumulation; max-reductions are exact.
+S = B*B and S @ S.T are built once per profile object, and each
+ProfileParams and SchattenParams(p) is evaluated once per profile object and
+kept on it, so repeated calls from the bound evaluators cost a lookup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,16 +55,7 @@ class ProfileParams:
     upper_bound_fields: frozenset = field(default_factory=frozenset)
 
     def to_dict(self) -> dict:
-        out = {
-            "sigma_C": self.sigma_C,
-            "sigma_R": self.sigma_R,
-            "sigma_star": self.sigma_star,
-            "sigma_tilde_inf": self.sigma_tilde_inf,
-            "sigma_bar_inf": self.sigma_bar_inf,
-            "sigma_inf": self.sigma_inf,
-            "beta_inf": self.beta_inf,
-            "eff_rank": self.eff_rank,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "upper_bound_fields"}
         if self.upper_bound_fields:
             out["upper_bound_fields"] = sorted(self.upper_bound_fields)
         return out
@@ -77,14 +71,7 @@ class SchattenParams:
     beta_p: float
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "sigma_p": self.sigma_p,
-            "sigma_p_prime": self.sigma_p_prime,
-            "sigma_bar_p": self.sigma_bar_p,
-            "b_p": self.b_p,
-            "beta_p": self.beta_p,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _beta(numer: float, denom: float) -> float:
@@ -101,64 +88,56 @@ def _pair_sums(B: VarianceProfile) -> tuple[np.ndarray, np.ndarray]:
     return S, S @ S.T
 
 
+def _once(B: VarianceProfile, key, build, *args):
+    """build(B, *args), evaluated once per profile object and kept on it."""
+    memo = B._memo
+    if key not in memo:
+        memo[key] = build(B, *args)
+    return memo[key]
+
+
 def compute_params(B: VarianceProfile) -> ProfileParams:
     """All operator-norm parameters of a profile.  Total on valid profiles."""
-    S, A = _pair_sums(B)
-    d = B.d
-    sigma_C2 = float(S.sum(axis=0).max())
+    return _once(B, "params", _params)
+
+
+def _params(B: VarianceProfile) -> ProfileParams:
+    S, A = _once(B, "pair_sums", _pair_sums)
+    diag = np.diagonal(A)
+    sigma_C = math.sqrt(float(S.sum(axis=0).max()))
     sigma_R2 = float(S.sum(axis=1).max())
     sigma_star = float(math.sqrt(S.max()))
-    diag = np.diagonal(A)
-    sigma_bar2 = float(diag.max())
-    if d >= 2:
-        off = A[~np.eye(d, dtype=bool)]
-        sigma_tilde2 = float(off.max())
-        sigma_inf2 = float((A.sum(axis=1) - diag).max())
-    else:
-        sigma_tilde2 = 0.0
-        sigma_inf2 = 0.0
-    sigma_C = math.sqrt(sigma_C2)
-    sigma_inf = math.sqrt(max(sigma_inf2, 0.0))
-    sigma_tilde = math.sqrt(max(sigma_tilde2, 0.0))
-    total = float(S.sum())
-    eff_rank = total / sigma_R2 if sigma_R2 > 0 else 0.0
+    # maxima over i != l: empty, so 0, when d = 1
+    sigma_tilde = math.sqrt(max(float(A[~np.eye(B.d, dtype=bool)].max()), 0.0)) if B.d >= 2 else 0.0
+    sigma_inf = math.sqrt(max(float((A.sum(axis=1) - diag).max()), 0.0)) if B.d >= 2 else 0.0
     return ProfileParams(
-        sigma_C=sigma_C,
-        sigma_R=math.sqrt(sigma_R2),
-        sigma_star=sigma_star,
-        sigma_tilde_inf=sigma_tilde,
-        sigma_bar_inf=math.sqrt(sigma_bar2),
-        sigma_inf=sigma_inf,
+        sigma_C=sigma_C, sigma_R=math.sqrt(sigma_R2), sigma_star=sigma_star,
+        sigma_tilde_inf=sigma_tilde, sigma_bar_inf=math.sqrt(float(diag.max())), sigma_inf=sigma_inf,
         beta_inf=_beta(sigma_tilde * sigma_C, sigma_inf * sigma_star),
-        eff_rank=eff_rank,
+        eff_rank=float(S.sum()) / sigma_R2 if sigma_R2 > 0 else 0.0,
     )
-
-
-def _require_even(p: int) -> None:
-    if not isinstance(p, int) or p < 2 or p % 2:
-        raise ValueError(f"Schatten order must be an even integer >= 2, got {p!r}")
 
 
 def compute_schatten_params(B: VarianceProfile, p: int) -> SchattenParams:
     """All Schatten-order-p parameters of a profile."""
-    _require_even(p)
-    S, A = _pair_sums(B)
+    if not isinstance(p, int) or p < 2 or p % 2:
+        raise ValueError(f"Schatten order must be an even integer >= 2, got {p!r}")
+    return _once(B, ("schatten", p), _schatten_params, p)
+
+
+def _schatten_params(B: VarianceProfile, p: int) -> SchattenParams:
+    S, A = _once(B, "pair_sums", _pair_sums)
     diag = np.diagonal(A)
     rows = A.sum(axis=1)
     half = p // 2
     sigma_p = float(np.sum(rows**half)) ** (1.0 / p)
     sigma_p_prime = float(np.sum(np.maximum(rows - diag, 0.0) ** half)) ** (1.0 / p)
     sigma_bar_p = float(np.sum(diag**half)) ** (1.0 / p)
-    b_2p = float(np.sum(S.max(axis=1) ** p))
-    b_p = b_2p ** (1.0 / (2 * p))
+    b_p = float(np.sum(S.max(axis=1) ** p)) ** (1.0 / (2 * p))
     sigma_C = math.sqrt(float(S.sum(axis=0).max()))
     return SchattenParams(
-        p=p,
-        sigma_p=sigma_p,
-        sigma_p_prime=sigma_p_prime,
-        sigma_bar_p=sigma_bar_p,
-        b_p=b_p,
-        beta_p=_beta(sigma_bar_p * sigma_C, sigma_p * b_p),
+        p=p, sigma_p=sigma_p, sigma_p_prime=sigma_p_prime, sigma_bar_p=sigma_bar_p,
+        b_p=b_p, beta_p=_beta(sigma_bar_p * sigma_C, sigma_p * b_p),
     )
 
 

@@ -1,10 +1,13 @@
 """Variance profile matrices: validation, ingestion, and structured generators.
 
 A profile is the d x n nonnegative matrix B = (b_ij) of entrywise standard
-deviations; every other module consumes it read-only.  Entries ingested as
-integers or "p/q" ratio strings are kept as exact `fractions.Fraction` values
-so the combinatorial engines can run in rational arithmetic; any decimal cell
-demotes the whole matrix to binary floating point.
+deviations; every other module consumes it read-only.  A float profile is a
+read-only float64 array.  An exact profile (integer and "p/q" cells only) is
+an integer numerator matrix N over the least common denominator D, int64 when
+it fits, else Python ints (`integerized()` always gives Python ints), plus the
+float view N_ij / D, correctly rounded.  A decimal cell makes the whole matrix
+float.  A negative cell, or one with no finite float64 value, is a
+ProfileDomainError.  Parameters are computed once per profile (see params).
 """
 
 from __future__ import annotations
@@ -37,55 +40,81 @@ class ResourceLimitError(RuntimeError):
     """A configured work cap (term count, shape order) would be exceeded."""
 
 
-@dataclass(frozen=True)
 class VarianceProfile:
     """Immutable d x n matrix of nonnegative standard-deviation weights.
 
-    `exact` is True when every entry is a Fraction ingested without rounding;
+    `exact` is True when every entry is a rational ingested without rounding;
     in that mode the moment oracles and shape weights are computed in exact
-    rational arithmetic.
+    rational arithmetic.  `VarianceProfile(rows, exact)` takes rows of cells
+    (Fractions or ints when exact, floats otherwise).  Equality compares values:
+    exact profiles are kept in lowest terms, so their (N, D) are unique.
     """
 
-    entries: tuple[tuple[Entry, ...], ...]
-    exact: bool
+    def __init__(self, entries, exact: bool):
+        rows = entries if isinstance(entries, np.ndarray) else [tuple(r) for r in entries]
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ProfileFormatError(f"row {i + 1} has {len(row)} cells, expected {len(rows[0])}", line=i + 1)
+        self._set(*(_exact_parts(rows) if exact else (np.array(rows, dtype=np.float64), None)))
+
+    @classmethod
+    def _of(cls, data: np.ndarray, den: int | None) -> "VarianceProfile":  # den None: floats
+        B = cls.__new__(cls)
+        B._set(data, den)
+        return B
+
+    def _set(self, data: np.ndarray, den: int | None) -> None:
+        if den is None:
+            nums = values = np.asarray(data, dtype=np.float64)
+        else:
+            nums = _int_array(data)
+            if den != 1:  # lowest terms: divide out gcd(D, every numerator)
+                g = math.gcd(den, int(np.gcd.reduce(nums, axis=None)))
+                nums, den = _int_array(nums // g), den // g
+            if nums.dtype != object and den <= 2**53 and nums.max(initial=0) <= 2**53:
+                values = nums / den  # both operands exact in float64: one correctly rounded division
+            else:
+                values = np.array([_float(Fraction(int(x), den)) for x in nums.flat]).reshape(nums.shape)
+        for a in (nums, values):
+            a.setflags(write=False)
+        # _matrix: the numerators over _den when exact, else the float values;
+        # _memo: per-profile cache of derived quantities, filled by the params module
+        self.__dict__.update(d=values.shape[0], n=values.shape[-1], exact=den is not None,
+                             _matrix=nums, _den=den, _values=values, _memo={})
+        self.__post_init__()
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        if not self._values.size:
             raise ProfileDomainError("profile must have at least one row and one column")
-        width = len(self.entries[0])
-        for i, row in enumerate(self.entries):
-            if len(row) != width:
-                raise ProfileFormatError(f"row {i + 1} has {len(row)} cells, expected {width}", line=i + 1)
-            for x in row:
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ProfileDomainError(f"non-finite entry in row {i + 1}")
-                if x < 0:
-                    raise ProfileDomainError(f"negative entry {x} in row {i + 1}")
+        if self._matrix.min() < 0 or not np.isfinite(self._values).all():
+            neg = self._matrix < 0
+            i, j = divmod(int(np.argmax(neg | ~np.isfinite(self._values))), self.n)
+            cell = Fraction(int(self._matrix[i, j]), self._den) if self.exact else float(self._values[i, j])
+            what = f"negative entry {cell}" if neg[i, j] else "entry with no finite float64 value"
+            raise ProfileDomainError(f"{what} in row {i + 1}")
+
+    def __eq__(self, other):
+        if not isinstance(other, VarianceProfile):
+            return NotImplemented
+        return (self.exact, self._den) == (other.exact, other._den) and np.array_equal(self._matrix, other._matrix)
 
     @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries[0])
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        a = np.array([[float(x) for x in row] for row in self.entries], dtype=np.float64)
-        a.setflags(write=False)
-        return a
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        """The cells as Python objects: Fractions when exact, floats otherwise."""
+        if self.exact:
+            return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._matrix.tolist())
+        return tuple(map(tuple, self._values.tolist()))
 
     def as_array(self) -> np.ndarray:
         """Read-only float64 view of the entries."""
-        return self._array
+        return self._values
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not self._matrix.any()
 
     def integerized(self) -> tuple[list[list[int]], int]:
-        """Entries as integers over a common denominator D (exact mode only).
+        """Entries as Python integers over a common denominator D (exact mode only).
 
         Returns (N, D) with b_ij = N_ij / D.  Every moment of homogeneous
         degree 2p in the entries can then be computed in pure integer
@@ -93,49 +122,56 @@ class VarianceProfile:
         """
         if not self.exact:
             raise ValueError("integerized() requires an exact profile")
-        den = 1
-        for row in self.entries:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        nums = [[int(x * den) for x in row] for row in self.entries]
-        return nums, den
+        return self._matrix.tolist(), self._den
 
     def scaled(self, t) -> "VarianceProfile":
         """Profile with every entry multiplied by t > 0."""
         if t < 0:
             raise ProfileDomainError("scale factor must be nonnegative")
         if self.exact and isinstance(t, (int, Fraction)):
-            rows = tuple(tuple(x * Fraction(t) for x in row) for row in self.entries)
-            return VarianceProfile(rows, exact=True)
-        tf = float(t)
-        rows = tuple(tuple(float(x) * tf for x in row) for row in self.entries)
-        return VarianceProfile(rows, exact=False)
+            t = Fraction(t)
+            return VarianceProfile._of(self._matrix.astype(object) * t.numerator, self._den * t.denominator)
+        return VarianceProfile._of(self._values * float(t), None)
+
+    def _cells(self) -> list[list]:
+        """Cells for serialization: floats, or ints and "p/q" strings in lowest terms."""
+        if self._den in (None, 1):
+            return self._matrix.tolist()
+        return [[_ratio(x, self._den) for x in row] for row in self._matrix.tolist()]
 
     def to_csv(self) -> str:
-        lines = []
-        for row in self.entries:
-            lines.append(",".join(_format_cell(x) for x in row))
-        return "\n".join(lines) + "\n"
+        fmt = repr if not self.exact else str
+        return "".join(",".join(map(fmt, row)) + "\n" for row in self._cells())
 
     def to_json_obj(self) -> dict:
-        ent = [[_json_cell(x) for x in row] for row in self.entries]
-        return {"d": self.d, "n": self.n, "entries": ent}
+        return {"d": self.d, "n": self.n, "entries": self._cells()}
 
 
-def _format_cell(x: Entry) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x)
+def _ratio(num: int, den: int):
+    g = math.gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
 
 
-def _json_cell(x: Entry):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return x
+def _float(x) -> float:
+    """float(x), or inf for a rational beyond the float64 range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _int_array(data) -> np.ndarray:
+    """Integer matrix: int64 when every value fits, else Python ints in an object array."""
+    try:
+        return np.asarray(data, dtype=np.int64)
+    except OverflowError:
+        return np.array(data, dtype=object)
+
+
+def _exact_parts(rows) -> tuple[np.ndarray, int]:
+    """(numerators, least common denominator) of rows of Fractions or ints."""
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return _int_array([[x.numerator * (den // x.denominator) for x in row] for row in rows]), den
 
 
 def _parse_cell(text: str) -> Entry:
@@ -152,38 +188,46 @@ def _parse_cell(text: str) -> Entry:
         return float(s)  # may raise ValueError for garbage
 
 
-def _finish(rows: list[list[Entry]]) -> VarianceProfile:
-    exact = all(isinstance(x, Fraction) for row in rows for x in row)
-    if not exact:
-        rows = [[float(x) for x in row] for row in rows]
-    return VarianceProfile(tuple(tuple(row) for row in rows), exact=exact)
-
-
-def _load_csv(text: str) -> VarianceProfile:
-    rows: list[list[Entry]] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            if rows:
-                continue  # tolerate trailing blank lines
-            raise ProfileFormatError("blank line before any data", line=lineno)
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ProfileFormatError(
-                f"line {lineno}: {len(cells)} cells, expected {width}", line=lineno
-            )
+def _from_cells(numbered: list[tuple[int, object]], split, unit: str) -> VarianceProfile:
+    """Profile of numbered rows; `split(row)` gives a row's cell strings, one row
+    at a time to bound memory.  Every cell is converted in one pass when all are
+    integers (exact) or all are floats (so none is a ratio), else one by one;
+    errors name rows as f"{unit} {number}"."""
+    for parse, den in ((int, 1), (float, None)):
+        try:
+            data = [list(map(parse, split(row))) for _, row in numbered]
+        except ValueError:
+            continue
+        if len({len(cells) for cells in data}) == 1:  # ragged rows are reported below
+            return VarianceProfile._of(_int_array(data) if den else np.array(data), den)
+        break
+    width = len(split(numbered[0][1]))
+    parsed: list[list[Entry]] = []
+    for k, raw in numbered:
+        cells = split(raw)
+        if len(cells) != width:
+            raise ProfileFormatError(f"{unit} {k}: {len(cells)} cells, expected {width}", line=k)
         row = []
         for cell in cells:
             try:
                 row.append(_parse_cell(cell))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ProfileFormatError(f"line {lineno}: bad cell {cell.strip()!r}", line=lineno) from exc
-        rows.append(row)
-    if not rows:
+                raise ProfileFormatError(f"{unit} {k}: bad cell {cell.strip()!r}", line=k) from exc
+        parsed.append(row)
+    if any(isinstance(x, float) for row in parsed for x in row):
+        return VarianceProfile._of(np.array([[_float(x) for x in row] for row in parsed]), None)
+    return VarianceProfile._of(*_exact_parts(parsed))
+
+
+def _load_csv(text: str) -> VarianceProfile:
+    lines = text.splitlines()
+    if lines and not lines[0].strip():
+        raise ProfileFormatError("blank line before any data", line=1)
+    # blank lines after the first data line are skipped
+    numbered = [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
+    if not numbered:
         raise ProfileDomainError("empty matrix")
-    return _finish(rows)
+    return _from_cells(numbered, lambda line: line.split(","), "line")
 
 
 def _reject_constant(name):
@@ -210,29 +254,15 @@ def _load_json(text: str) -> VarianceProfile:
         raise ProfileFormatError("JSON top level must be an object or an array")
     if not ent:
         raise ProfileDomainError("empty matrix")
-    rows: list[list[Entry]] = []
     for i, raw in enumerate(ent, start=1):
         if not isinstance(raw, list):
             raise ProfileFormatError(f"row {i} is not an array", line=i)
-        row = []
         for cell in raw:
-            if isinstance(cell, bool):
-                raise ProfileFormatError(f"row {i}: boolean cell", line=i)
-            if isinstance(cell, int):
-                row.append(Fraction(cell))
-            elif isinstance(cell, float):
-                row.append(cell)
-            elif isinstance(cell, str):
-                try:
-                    row.append(_parse_cell(cell))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ProfileFormatError(f"row {i}: bad cell {cell!r}", line=i) from exc
-            else:
+            if isinstance(cell, bool) or not isinstance(cell, (int, float, str)):
                 raise ProfileFormatError(f"row {i}: unsupported cell type {type(cell).__name__}", line=i)
-        rows.append(row)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ProfileFormatError("ragged rows")
-    return _finish(rows)
+    # numbers as their shortest round-tripping text, so one parser serves both formats
+    return _from_cells(
+        list(enumerate(ent, start=1)), lambda row: [c if isinstance(c, str) else repr(c) for c in row], "row")
 
 
 def load_profile(source: Union[bytes, str, IO], format: str = "csv") -> VarianceProfile:
@@ -240,7 +270,8 @@ def load_profile(source: Union[bytes, str, IO], format: str = "csv") -> Variance
 
     Integer and "p/q" cells are ingested exactly (exact=True); any decimal
     cell switches the whole matrix to float mode.  Ragged rows raise
-    ProfileFormatError, negative entries ProfileDomainError.
+    ProfileFormatError; negative entries and cells with no finite float64
+    value raise ProfileDomainError.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -259,16 +290,10 @@ _FAMILY_KINDS = ("constant", "iid_columns", "iid_rows", "rank_one", "bounded_rat
 
 
 def _as_entry_vector(vec: Sequence) -> tuple[Entry, ...]:
-    out = []
-    for x in vec:
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            x = Fraction(x)
-        else:
-            x = float(x)
-        if x < 0:
-            raise ProfileDomainError("family vectors must be nonnegative")
-        out.append(x)
-    return tuple(out)
+    out = tuple(Fraction(x) if isinstance(x, (int, Fraction)) and not isinstance(x, bool) else float(x) for x in vec)
+    if any(x < 0 for x in out):
+        raise ProfileDomainError("family vectors must be nonnegative")
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,6 +346,15 @@ class ProfileFamily:
         return ProfileFamily("explicit", base=profile)
 
 
+def _outer(a: tuple[Entry, ...], b: tuple[Entry, ...]) -> VarianceProfile:
+    """The profile b_ij = a_i * b_j: exact when both vectors are, else the
+    float products float(a_i) * float(b_j)."""
+    if all(isinstance(x, Fraction) for x in a + b):
+        (na, da), (nb, db) = _exact_parts([a]), _exact_parts([b])
+        return VarianceProfile._of(np.outer(na.astype(object), nb.astype(object)), da * db)
+    return VarianceProfile._of(np.outer([_float(x) for x in a], [_float(x) for x in b]), None)
+
+
 def generate(family: ProfileFamily, d: int, n: int) -> VarianceProfile:
     """Materialize a d x n profile for the given family.
 
@@ -330,25 +364,19 @@ def generate(family: ProfileFamily, d: int, n: int) -> VarianceProfile:
         raise ProfileDomainError("d and n must be positive")
     kind = family.kind
     if kind == "constant":
-        one = Fraction(1)
-        return VarianceProfile(tuple(tuple(one for _ in range(n)) for _ in range(d)), exact=True)
+        return VarianceProfile._of(np.ones((d, n), dtype=np.int64), 1)
     if kind == "iid_columns":
         if family.b is None or len(family.b) != d:
             raise ValueError(f"iid_columns needs a length-{d} vector")
-        return _finish([[family.b[i]] * n for i in range(d)])
+        return _outer(family.b, (Fraction(1),) * n)
     if kind == "iid_rows":
         if family.b is None or len(family.b) != n:
             raise ValueError(f"iid_rows needs a length-{n} vector")
-        return _finish([list(family.b) for _ in range(d)])
+        return _outer((Fraction(1),) * d, family.b)
     if kind == "rank_one":
         if family.a is None or len(family.a) != d or family.b is None or len(family.b) != n:
             raise ValueError(f"rank_one needs vectors of lengths {d} and {n}")
-        exact = all(isinstance(x, Fraction) for x in family.a + family.b)
-        if exact:
-            rows = [[family.a[i] * family.b[j] for j in range(n)] for i in range(d)]
-        else:
-            rows = [[float(family.a[i]) * float(family.b[j]) for j in range(n)] for i in range(d)]
-        return _finish(rows)
+        return _outer(family.a, family.b)
     if kind == "bounded_ratio":
         return _generate_bounded_ratio(family, d, n)
     if kind == "explicit":
@@ -364,18 +392,10 @@ def _generate_bounded_ratio(family: ProfileFamily, d: int, n: int) -> VariancePr
     base = family.base
     if base is None or base.d != d or base.n != n:
         raise ValueError("bounded_ratio needs a base profile of matching dimensions")
-    K = family.ratio_cap
     arr = base.as_array()
     norms = np.sqrt((arr * arr).sum(axis=0))
-    top = norms.max()
-    if top == 0:
-        return base
-    target = top / K
-    factors = np.ones(n)
-    for j in range(n):
-        if 0 < norms[j] < target:
-            factors[j] = target / norms[j]
+    target = norms.max() / family.ratio_cap
+    factors = np.divide(target, norms, out=np.ones(n), where=(norms > 0) & (norms < target))
     if np.all(factors == 1.0):
         return base
-    scaled = arr * factors[np.newaxis, :]
-    return VarianceProfile(tuple(tuple(float(x) for x in row) for row in scaled), exact=False)
+    return VarianceProfile._of(arr * factors[np.newaxis, :], None)

@@ -382,7 +382,8 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
     if P.sigma_star == 0:
         return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
     if B.exact:
-        star = max(x for row in B.entries for x in row)
+        nums, den = B.integerized()
+        star = Fraction(max(map(max, nums)), den)
         w_norm = float(W_value(s, B) / star ** (2 * s.p))
         normalized = B.scaled(1 / star)
     else:

@@ -81,6 +81,29 @@ class TestParamsCommand:
         assert "--profile" in payload_of(out)["error"]["message"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("first_cell", ["1.5", "1"])
+    def test_cell_beyond_float64_exit_2(self, capsys, tmp_path, first_cell):
+        # "1.5" makes a float profile, "1" an exact one; neither has a float64
+        # value for a 400-digit integer
+        path = tmp_path / "huge.csv"
+        path.write_text(f"{first_cell},{'9' * 400}\n")
+        status, out, err = run_cli(capsys, "params", "--profile", str(path))
+        assert status == 2
+        assert payload_of(out)["error"]["type"] == "ProfileDomainError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family, extra, unread", [
+        ("constant", ("--b", "1,2"), "--b"),
+        ("iid_rows", ("--b", "1,2", "--a", "1,2"), "--a"),
+        ("rank_one", ("--a", "1,2", "--b", "1,2", "--K", "3"), "--K"),
+    ])
+    def test_family_option_not_read_exit_2(self, capsys, family, extra, unread):
+        status, out, err = run_cli(capsys, "params", "--family", family, "--d", "2", "--n", "2", *extra)
+        assert status == 2
+        assert payload_of(out)["error"]["type"] == "ValueError"
+        assert unread in payload_of(out)["error"]["message"]
+        assert "Traceback" not in err
+
     def test_envelope_fields(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "params", "--profile", profile_file)
         env = json.loads(out)

@@ -199,3 +199,74 @@ class TestProfileObject:
         nums, den = B.integerized()
         assert den == 4
         assert nums == [[2, 12], [0, 5]]
+
+
+class TestExactArithmeticSafety:
+    """Numerators and denominators beyond int64, and the float view, cell by cell."""
+
+    BIG = 2**64 + 13  # odd, so the common denominator stays above 2**63
+
+    def big_profile(self):
+        rows = (
+            (Fraction(2**70 + 1, self.BIG), Fraction(3, 7), Fraction(0)),
+            (Fraction(5, self.BIG * 3), Fraction(2**66 + 5, 11), Fraction(1, 2)),
+        )
+        return VarianceProfile(rows, exact=True)
+
+    def test_beyond_int64_stays_python_ints(self):
+        B = self.big_profile()
+        nums, den = B.integerized()
+        assert den > 2**63 and max(map(max, nums)) > 2**63
+        assert all(type(x) is int for row in nums for x in row) and type(den) is int
+        assert [[Fraction(x, den) for x in row] for row in nums] == [list(row) for row in B.entries]
+
+    def test_offdiag_moment_exact_beyond_int64(self):
+        from covdev.oracle import offdiag_trace_moment
+
+        B = self.big_profile()
+        ent, d, n = B.entries, B.d, B.n
+        want = sum(ent[i][j] ** 2 * ent[l][j] ** 2 for i in range(d) for l in range(d) if l != i for j in range(n))
+        assert offdiag_trace_moment(B, 2).value == want
+
+    def test_csv_round_trip_beyond_int64(self):
+        B = self.big_profile()
+        again = load_profile(B.to_csv(), format="csv")
+        assert again == B and again.exact
+        assert again.to_csv() == B.to_csv()
+
+    def test_as_array_matches_float_of_each_cell(self):
+        rng = np.random.default_rng(17)
+        profiles = [self.big_profile(), load_profile("1/3,2/7\n5,1/1000003\n", format="csv")]
+        profiles += [rational_profile(rng, 6, 8, max_num=1000, max_den=30) for _ in range(5)]
+        profiles += [rational_profile(rng, 3, 4, max_num=10**6, max_den=10**5) for _ in range(5)]
+        # int64 cells that float64 would round: a numerator above 2**53, a denominator above 2**53
+        profiles.append(VarianceProfile(((Fraction(2**54 + 1, 3), Fraction(1, 3)),), exact=True))
+        profiles.append(VarianceProfile(((Fraction(1, 2**53 + 1), Fraction(2**40 + 1, 2**53 + 1)),), exact=True))
+        for B in profiles:
+            want = np.array([[float(x) for x in row] for row in B.entries])
+            got = B.as_array()
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_params_computed_once_per_profile(self):
+        from covdev.params import compute_params, compute_schatten_params
+
+        B = generate(ProfileFamily.constant(), 3, 4)
+        assert compute_params(B) is compute_params(B)
+        assert compute_schatten_params(B, 4) is compute_schatten_params(B, 4)
+
+    def test_bounds_command_builds_pair_sums_once(self, monkeypatch, capsys):
+        from covdev import params
+        from covdev.cli import main
+
+        built = []
+        real = params._pair_sums
+
+        def spy(B):
+            built.append(B)
+            return real(B)
+
+        monkeypatch.setattr(params, "_pair_sums", spy)
+        assert main(["bounds", "--family", "constant", "--d", "4", "--n", "6", "--p", "2,4"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1

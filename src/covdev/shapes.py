@@ -12,20 +12,40 @@ Each shape carries
 
 and the off-diagonal trace moment factorizes as sum_{s in S} L(s) W(s),
 which the oracle module recomputes independently by direct expansion.
+
+W is computed without visiting the injective maps.  Writing b_ij = N_ij / D
+with integers N_ij, Moebius inversion over the partitions pi of the left
+labels and sigma of the right labels gives
+
+    D^{2p} W(s) = sum_{pi, sigma} mu(pi) mu(sigma) hom(s / (pi, sigma), N),
+    mu(pi) = prod_{blocks b of pi} (-1)^{|b|-1} (|b|-1)!,
+
+where s / (pi, sigma) merges the labels of each block (multiplicities add)
+and hom sums prod_e N^{k_e} over all maps of its blocks into rows and
+columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  The
+(pi, sigma) sum folds into a per-shape table of integer coefficients over
+distinct quotients; each hom is one einsum over integer power matrices,
+computed once per profile.  A float profile runs the same integer engine on
+the exact values of its float64 cells (D is a power of two), so its W is the
+correctly rounded exact value, and is exactly invariant under row and column
+permutations.
 """
 
 from __future__ import annotations
 
 import math
+import string
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .oracle import _mu
-from .params import compute_params, compute_schatten_params
-from .profile import ResourceLimitError, VarianceProfile
+from .params import _once, compute_params, compute_schatten_params
+from .profile import ResourceLimitError, VarianceProfile, _exact_parts, _float
 
 DEFAULT_SHAPE_CAP = 8
 
@@ -205,43 +225,69 @@ def L_value(s: Shape) -> int:
 
 def W_value(s: Shape, B: VarianceProfile):
     """Profile weight: sum over injective maps of left labels into rows and
-    right labels into columns of prod_e b^{k_e}.
+    right labels into columns of prod_e b^{k_e}, by Moebius inversion (see
+    the module docstring).
 
-    Exact (Fraction) when the profile is exact, float otherwise.  Empty when
-    the shape needs more labels than the profile has rows or columns.
+    Exact (Fraction) when the profile is exact, else the correctly rounded
+    float of the exact value.  Zero when the shape needs more labels than the
+    profile has rows or columns.
     """
-    d, n = B.d, B.n
-    m1, m2 = s.m1, s.m2
-    edges = list(s.edge_mult.items())
-    if m2 > d or m1 > n:
+    if s.m2 > B.d or s.m1 > B.n:
         return Fraction(0) if B.exact else 0.0
+    total = sum(coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s).items())
+    w = Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * s.p))
+    return w if B.exact else _float(w)
+
+
+@lru_cache(maxsize=None)
+def _set_partitions(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every partition of m labels as (block of each label, blocks numbered
+    from 0 by first appearance; its Moebius value mu)."""
+    blocks = [()]
+    for _ in range(m):
+        blocks = [r + (b,) for r in blocks for b in range(max(r, default=-1) + 2)]
+    return tuple(
+        (r, math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in Counter(r).values())) for r in blocks
+    )
+
+
+def _quotient_table(s: Shape) -> dict[tuple, int]:
+    """{quotient: sum of mu(pi) mu(sigma) over the label partitions giving it},
+    zero coefficients dropped.  A quotient is its sorted ((left block, right
+    block), multiplicity) edges.  Depends on the shape only."""
+    edges = list(s.edge_mult.items())
+    rights = _set_partitions(s.m1)
+    table: dict[tuple, int] = defaultdict(int)
+    for left, mu_left in _set_partitions(s.m2):
+        for right, mu_right in rights:
+            merged: dict[tuple[int, int], int] = defaultdict(int)
+            for (i, j), k in edges:
+                merged[left[i - 1], right[j - 1]] += k
+            table[tuple(sorted(merged.items()))] += mu_left * mu_right
+    return {q: coef for q, coef in table.items() if coef}
+
+
+def _numerators(B: VarianceProfile) -> tuple[np.ndarray, int]:
+    """(N, D) with b_ij = N_ij / D exactly, N an object array of Python ints.
+    A float profile uses the exact value of each float64 cell."""
     if B.exact:
         nums, den = B.integerized()
-        total = 0
-        for w in permutations(range(d), m2):
-            for t in permutations(range(n), m1):
-                term = 1
-                for (i, j), k in edges:
-                    b = nums[w[i - 1]][t[j - 1]]
-                    if b == 0:
-                        term = 0
-                        break
-                    term *= b**k
-                total += term
-        return Fraction(total, den ** (2 * s.p))
-    arr = B.as_array()
-    total = 0.0
-    for w in permutations(range(d), m2):
-        for t in permutations(range(n), m1):
-            term = 1.0
-            for (i, j), k in edges:
-                b = arr[w[i - 1], t[j - 1]]
-                if b == 0.0:
-                    term = 0.0
-                    break
-                term *= b**k
-            total += term
-    return total
+        return np.array(nums, dtype=object), den
+    nums, den = _exact_parts([[Fraction(x) for x in row] for row in B.as_array().tolist()])
+    return nums.astype(object), den
+
+
+def _power(B: VarianceProfile, k: int) -> np.ndarray:
+    return _once(B, "numerators", _numerators)[0] ** k
+
+
+def _hom(B: VarianceProfile, quotient: tuple) -> int:
+    """sum over all maps of left blocks into rows and right blocks into
+    columns of prod_e N^{k_e}: one einsum, left blocks first in the letters."""
+    left = 1 + max(a for (a, _), _ in quotient)
+    letters = string.ascii_letters
+    subscripts = ",".join(letters[a] + letters[left + b] for (a, b), _ in quotient)
+    return int(np.einsum(subscripts + "->", *(_once(B, ("power", k), _power, k) for _, k in quotient), optimize=True))
 
 
 def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE_CAP):
@@ -378,18 +424,10 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
 
     Profiles with sigma_* = 0 yield a not-applicable witness.
     """
-    P = compute_params(B)
-    if P.sigma_star == 0:
+    if compute_params(B).sigma_star == 0:
         return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
-    if B.exact:
-        nums, den = B.integerized()
-        star = Fraction(max(map(max, nums)), den)
-        w_norm = float(W_value(s, B) / star ** (2 * s.p))
-        normalized = B.scaled(1 / star)
-    else:
-        w_norm = float(W_value(s, B)) / P.sigma_star ** (2 * s.p)
-        normalized = B.scaled(1 / P.sigma_star)
-    NP = compute_params(normalized)
+    star, NP = _once(B, "normalized_params", _normalized_params)
+    w_norm = float(W_value(s, B) / star ** (2 * s.p))  # exact division when the profile is exact
     m1, m2 = s.m1, s.m2
     if NP.beta_inf <= 1:
         case = "beta_le_1"
@@ -404,6 +442,16 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
         applicable=True, case=case, w_value=w_norm,
         ceiling=min(d_side, n_side), ceiling_d_side=d_side, ceiling_n_side=n_side,
     )
+
+
+def _normalized_params(B: VarianceProfile) -> tuple:
+    """(sigma_*, the parameters of B / sigma_*), sigma_* exact for an exact profile."""
+    if B.exact:
+        nums, den = B.integerized()
+        star = Fraction(max(map(max, nums)), den)
+    else:
+        star = compute_params(B).sigma_star
+    return star, compute_params(B.scaled(1 / star))
 
 
 def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> CeilingWitness:

@@ -50,6 +50,8 @@ CASES = {
     "examples_bounded_ratio": ("examples", "--family", "bounded_ratio", "--grid", "3x5,6x4", "--seed", "5"),
     "oracle_shape_sum": ("oracle", "--profile", "@ratio.csv", "--p", "2,4", "--shape-sum"),
     "shapes_p4": ("shapes", "--p", "4", "--profile", "@ratio.csv"),
+    "shapes_p6_ratio": ("shapes", "--p", "6", "--profile", "@ratio.csv"),
+    "shapes_p4_float": ("shapes", "--p", "4", "--profile", "@float.csv"),
 }
 
 

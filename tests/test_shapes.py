@@ -1,5 +1,6 @@
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from covdev import (
     trace_moment_via_shapes,
 )
 
-from conftest import rational_profile
+from conftest import float_profile, rational_profile
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 
@@ -217,6 +218,83 @@ class TestWValue:
             exact = W_value(s, B)
             approx = W_value(s, Bf)
             assert abs(approx - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
+
+
+def w_injective_maps(s, B):
+    """W(s) by its definition: a loop over injective label maps, exact."""
+    ent = B.entries
+    return sum(
+        (
+            math.prod(Fraction(ent[w[i - 1]][t[j - 1]]) ** k for (i, j), k in s.edge_mult.items())
+            for w in permutations(range(B.d), s.m2)
+            for t in permutations(range(B.n), s.m1)
+        ),
+        Fraction(0),
+    )
+
+
+def rational_profile_with_zero(rng, d, n) -> VarianceProfile:
+    rows = [list(r) for r in rational_profile(rng, d, n).entries]
+    rows[int(rng.integers(d))][int(rng.integers(n))] = Fraction(0)
+    return VarianceProfile(rows, exact=True)
+
+
+SHAPES_UP_TO_5 = [s for p in range(1, 6) for s in enumerate_shapes(p)]
+
+
+class TestWAgainstInjectiveMaps:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_shape_up_to_p5(self, d, n):
+        rng = np.random.default_rng(100 + 10 * d + n)
+        B = rational_profile_with_zero(rng, d, n)
+        for s in SHAPES_UP_TO_5:
+            assert W_value(s, B) == w_injective_maps(s, B), (s, B.entries)
+
+    def test_labels_beyond_dims_give_zero(self):
+        B = rational_profile(np.random.default_rng(6), 2, 3)
+        wide = [s for s in SHAPES_UP_TO_5 if s.m2 > 2 or s.m1 > 3]
+        assert wide
+        assert all(W_value(s, B) == 0 for s in wide)
+
+
+class TestWFloat:
+    """A float profile's W is the correctly rounded exact weight of its cells."""
+
+    def test_equals_rounded_exact_weight(self):
+        rng = np.random.default_rng(7)
+        for d, n in ((2, 3), (3, 3), (4, 2)):
+            Bf = float_profile(rng, d, n)
+            B = VarianceProfile([[Fraction(x) for x in row] for row in Bf.entries], exact=True)
+            for s in SHAPES_UP_TO_5:
+                assert W_value(s, Bf) == float(W_value(s, B))
+
+    def test_bitwise_invariant_under_row_and_column_permutations(self):
+        rng = np.random.default_rng(8)
+        arr = float_profile(rng, 4, 3).as_array()
+        B = VarianceProfile(arr, exact=False)
+        for _ in range(4):
+            permuted = VarianceProfile(arr[rng.permutation(4)][:, rng.permutation(3)], exact=False)
+            for s in SHAPES_UP_TO_5:
+                assert W_value(s, permuted).hex() == W_value(s, B).hex()
+
+    def test_bitwise_homogeneous_under_powers_of_two(self):
+        rng = np.random.default_rng(9)
+        B = float_profile(rng, 3, 3)
+        checked = 0
+        for k in range(-160, 161, 8):
+            Bk = B.scaled(2.0**k)
+            assert np.array_equal(np.ldexp(Bk.as_array(), -k), B.as_array())  # the scaling itself is exact
+            for s in SHAPES_UP_TO_5:
+                w = W_value(s, B)
+                if w and -1021 <= math.frexp(w)[1] + 2 * s.p * k <= 1024:  # 2^(2pk) w finite and normal
+                    assert W_value(s, Bk).hex() == math.ldexp(w, 2 * s.p * k).hex(), (k, s)
+                    checked += 1
+        assert checked > 100
+
+    def test_overflow_is_inf(self):
+        B = VarianceProfile([[1e300, 2e300], [3e-300, 1.5]], exact=False)
+        assert W_value(enumerate_shapes(2)[0], B) == math.inf
 
 
 class TestTraceMomentViaShapes:

@@ -296,11 +296,3 @@ def kl_comparator(B: VarianceProfile, n: int | None = None) -> BoundReport:
     warnings += _zero_warning(B)
     return _report("kl_comparator", CASE_NA, total, [], cfg, warnings)
 
-
-ALL_PROFILE_BOUNDS = {
-    "main_upper_bound": main_upper_bound,
-    "chz_bound": chz_bound,
-    "free_probability_bound": free_probability_bound,
-    "lower_bound_opnorm": lambda B, cfg=None: lower_bound_opnorm(B),
-    "kl_comparator": lambda B, cfg=None: kl_comparator(B),
-}

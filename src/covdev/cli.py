@@ -460,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     so = subs.add_parser("oracle", help="exact trace moments")
     _add_profile_args(so)
     so.add_argument("--p", type=_parse_int_list, default=[2])
-    so.add_argument("--cap", type=int, default=oracle.DEFAULT_TERM_CAP)
+    so.add_argument("--cap", type=int, default=oracle.DEFAULT_TERM_CAP,
+                    help="work cap: walk nodes per off-diagonal or full moment, compositions per diagonal one")
     so.add_argument("--shape-sum", action="store_true", help="also print the shape-sum value and difference")
     so.set_defaults(fn=cmd_oracle)
 

@@ -9,12 +9,21 @@ standard Gaussian g:
 
 with mu_r = (r-1)!! for even r and 0 for odd r.  The three trace moments of
 M = X X^T - E X X^T expand over index tuples, the expectation of each term
-factorizing over matrix cells by independence.  Exact profiles are computed
-in integer arithmetic over the common denominator of the entries (every term
-has homogeneous degree 2p in the entries).
+factorizing over matrix cells by independence.  Every moment has homogeneous
+degree 2p in the entries, so it is computed in integers over the common
+denominator D of the entries and divided by D^{2p} once.  A float profile
+uses the exact value of each float64 cell (D is a power of two) and is
+rounded once at the end, so its moments are correctly rounded.
 
-Work is capped by the number of expanded terms, not by time, so resource
-errors are deterministic.
+The off-diagonal and full moments walk the closed paths u_1 -> v_1 -> u_2
+-> ... -> v_p -> u_1 depth first over concrete labels, keeping the plain
+and centered traversal counts of each cell.  A cell is unfinished while its
+expectation a_{plain, centered} is zero as it stands.  A branch is pruned
+when it reaches a zero cell, when more cells are unfinished than half-steps
+remain, or when the forced return to u_1 does not finish exactly the
+unfinished cells.  Work is capped by a count, not by time, so resource
+errors are deterministic: walk nodes (one per cell traversal added) for
+these two moments, exponent compositions for the diagonal one.
 """
 
 from __future__ import annotations
@@ -23,19 +32,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Union
 
-from .profile import ResourceLimitError, VarianceProfile
+import numpy as np
 
-DEFAULT_TERM_CAP = 10**7
+from .params import _once
+from .profile import ResourceLimitError, VarianceProfile, _exact_parts, _float
 
-MomentValue = Union[Fraction, float]
+DEFAULT_TERM_CAP = 10**7  # walk nodes (off-diagonal and full) or compositions (diagonal)
 
 
 @dataclass(frozen=True)
 class ExactMoment:
-    value: MomentValue
+    value: Fraction | float
     p: int
     kind: str  # "full" | "offdiag" | "diag"
 
@@ -46,12 +54,7 @@ class ExactMoment:
 @lru_cache(maxsize=None)
 def _mu(r: int) -> int:
     """E g^r: (r-1)!! for even r, 0 for odd r."""
-    if r % 2:
-        return 0
-    out = 1
-    for j in range(r - 1, 0, -2):
-        out *= j
-    return out
+    return 0 if r % 2 else math.prod(range(r - 1, 0, -2))
 
 
 @lru_cache(maxsize=None)
@@ -73,75 +76,124 @@ def joint_moment_table(max_n: int, max_m: int) -> dict[tuple[int, int], int]:
     return {(n, m): joint_moment(n, m) for n in range(max_n + 1) for m in range(max_m + 1)}
 
 
-def _check_cap(d: int, n: int, p: int, cap: int) -> None:
-    if (d**p) * (n**p) > cap:
-        raise ResourceLimitError(
-            f"direct expansion needs {(d ** p) * (n ** p)} terms, cap is {cap}"
-        )
-
-
-def _entry_matrix(B: VarianceProfile):
-    """(matrix, denominator): integers over a common denominator in exact mode,
-    floats with denominator None otherwise."""
+def _numerators(B: VarianceProfile) -> tuple[np.ndarray, int]:
+    """(N, D) with b_ij = N_ij / D exactly, N an object array of Python ints.
+    A float profile uses the exact value of each float64 cell."""
     if B.exact:
-        return B.integerized()
-    return B.as_array().tolist(), None
+        nums, den = B.integerized()
+        return np.array(nums, dtype=object), den
+    nums, den = _exact_parts([[Fraction(x) for x in row] for row in B.as_array().tolist()])
+    return nums.astype(object), den
+
+
+def _moment(B: VarianceProfile, p: int, kind: str, total: int) -> ExactMoment:
+    """The integer sum over D^{2p}: exact, or rounded once for a float profile."""
+    value = Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * p))
+    return ExactMoment(value=value if B.exact else _float(value), p=p, kind=kind)
+
+
+def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> int:
+    """D^{2p} times the sum over closed paths of the expectation of their entry
+    product.  A step u_k -> v_k -> u_{k+1} is two half-steps, each a plain
+    traversal (a factor b g) of a cell; with diagonal steps on, u_{k+1} = u_k
+    is one centered traversal of (u_k, v_k), a factor b^2 (g^2 - 1)."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n = B.n
+    N = _once(B, "numerators", _numerators)[0].ravel().tolist()  # cell c = (c // n, c % n)
+    plain, cent = [0] * len(N), [0] * len(N)
+    unfinished: set[int] = set()
+    path: list[int] = []
+    total = nodes = first = 0  # first: u_1 of the paths being walked
+
+    def move(c: int, dp: int, dc: int) -> None:
+        """Add (or, negative, take back) traversals of cell c: one walk node."""
+        nonlocal nodes
+        x = plain[c] = plain[c] + dp
+        y = cent[c] = cent[c] + dc
+        if x & 1 or (x == 0 and y == 1):
+            unfinished.add(c)
+        else:
+            unfinished.discard(c)
+        if dp + dc < 0:
+            path.pop()
+            return
+        path.append(c)
+        nodes += 1
+        if nodes > cap:
+            raise ResourceLimitError(f"direct expansion visits more than {cap} walk nodes")
+
+    def finish(steps: list[tuple[int, int, int]]) -> None:
+        nonlocal total
+        for step in steps:
+            move(*step)
+        if not unfinished:
+            term = 1
+            for c in set(path):
+                term *= N[c] ** (plain[c] + 2 * cent[c]) * joint_moment(plain[c], cent[c])
+            total += term
+        for c, dp, dc in reversed(steps):
+            move(c, -dp, -dc)
+
+    def walk(k: int, u: int) -> None:
+        """Extend the path u_1 .. u_k = u, with 2(p - k + 1) half-steps left;
+        each unfinished cell needs at least one of them."""
+        left = 2 * (p - k)  # half-steps left after the step u_k -> v_k -> u_{k+1}
+        if k == p:  # the return to u_1 must finish every unfinished cell
+            if u != first and len(unfinished) == 2:  # so v_p is their column
+                v = next(iter(unfinished)) % n
+                finish([(u * n + v, 1, 0), (first * n + v, 1, 0)])
+            elif u == first and diagonal and len(unfinished) <= 1:
+                for c in list(unfinished) or range(u * n, u * n + n):
+                    if c // n == u:
+                        finish([(c, 0, 1)])
+            return
+        for a in range(u * n, u * n + n):
+            if not N[a]:
+                continue
+            move(a, 1, 0)
+            if len(unfinished) <= left + 1:
+                for b in range(a % n, len(N), n):
+                    if b != a and N[b]:
+                        move(b, 1, 0)
+                        if len(unfinished) <= left:
+                            walk(k + 1, b // n)
+                        move(b, -1, 0)
+            move(a, -1, 0)
+            if diagonal:
+                move(a, 0, 1)
+                if len(unfinished) <= left:
+                    walk(k + 1, u)
+                move(a, 0, -1)
+
+    for first in range(B.d):
+        walk(1, first)
+    return total
 
 
 def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
-    """E Tr(offdiag(X X^T))^p by expanding over closed index paths.
+    """E Tr(offdiag(X X^T))^p: the closed paths with u_k != u_{k+1} (cyclically),
+    whose expectation is the product over cells of b^c mu(c)."""
+    return _moment(B, p, "offdiag", _path_sum(B, p, False, cap))
 
-    Sums over u in [d]^p with u_k != u_{k+1} (cyclically) and v in [n]^p; the
-    expectation of each term is the product over cells of mu(multiplicity).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    d, n = B.d, B.n
-    _check_cap(d, n, p, cap)
-    ent, den = _entry_matrix(B)
-    total = 0 if den is not None else 0.0
-    for u in product(range(d), repeat=p):
-        if any(u[k] == u[(k + 1) % p] for k in range(p)):
-            continue
-        for v in product(range(n), repeat=p):
-            cells: dict[tuple[int, int], int] = {}
-            for k in range(p):
-                for cell in ((u[k], v[k]), (u[(k + 1) % p], v[k])):
-                    cells[cell] = cells.get(cell, 0) + 1
-            if any(c % 2 for c in cells.values()):
-                continue
-            term = 1
-            for (i, j), c in cells.items():
-                b = ent[i][j]
-                if b == 0:
-                    term = 0
-                    break
-                term *= b**c * _mu(c)
-            total += term
-    if den is not None:
-        total = Fraction(total, den ** (2 * p))
-    return ExactMoment(value=total, p=p, kind="offdiag")
+
+def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
+    """E Tr(X X^T - E X X^T)^p: the closed paths with diagonal steps, whose
+    expectation is the product over cells of b^e a_{plain, centered}."""
+    return _moment(B, p, "full", _path_sum(B, p, True, cap))
 
 
 def _compositions_skip_one(total: int, parts: int):
-    """Weak compositions of `total` into `parts` parts, no part equal to 1.
-
-    Parts of size 1 would carry the factor E(g^2-1) = 0, so they are skipped
-    at generation time.
-    """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """Weak compositions of `total` into `parts` >= 1 parts, no part equal to 1:
+    such a part would carry the factor E(g^2-1) = 0."""
     if parts == 1:
         if total != 1:
             yield (total,)
         return
     for first in range(total + 1):
-        if first == 1:
-            continue
-        for rest in _compositions_skip_one(total - first, parts - 1):
-            yield (first,) + rest
+        if first != 1:
+            for rest in _compositions_skip_one(total - first, parts - 1):
+                yield (first,) + rest
 
 
 def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
@@ -156,72 +208,15 @@ def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -
     n_comps = math.comb(p + n - 1, n - 1)
     if d * n_comps > cap:
         raise ResourceLimitError(f"diagonal expansion needs {d * n_comps} terms, cap is {cap}")
-    ent, den = _entry_matrix(B)
     fact_p = math.factorial(p)
-    total = 0 if den is not None else 0.0
-    for i in range(d):
-        row = ent[i]
+    total = 0
+    for row in _once(B, "numerators", _numerators)[0].tolist():
         for comp in _compositions_skip_one(p, n):
             coef = fact_p
             term = 1
-            for r in comp:
-                if r == 0:
-                    continue
-                coef //= math.factorial(r)
             for j, r in enumerate(comp):
-                if r == 0:
-                    continue
-                b = row[j]
-                if b == 0:
-                    term = 0
-                    break
-                term *= b ** (2 * r) * joint_moment(0, r)
+                if r:
+                    coef //= math.factorial(r)
+                    term *= row[j] ** (2 * r) * joint_moment(0, r)
             total += coef * term
-    if den is not None:
-        total = Fraction(total, den ** (2 * p))
-    return ExactMoment(value=total, p=p, kind="diag")
-
-
-def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
-    """E Tr(X X^T - E X X^T)^p by expanding every factor into entry monomials.
-
-    Off-diagonal factors contribute plain g's, diagonal factors contribute
-    (g^2 - 1)'s; each cell's expectation is then a_{cells g count, cells
-    centered count} via joint_moment, independent across cells.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    d, n = B.d, B.n
-    _check_cap(d, n, p, cap)
-    ent, den = _entry_matrix(B)
-    total = 0 if den is not None else 0.0
-    for u in product(range(d), repeat=p):
-        for v in product(range(n), repeat=p):
-            plain: dict[tuple[int, int], int] = {}
-            centered: dict[tuple[int, int], int] = {}
-            bexp: dict[tuple[int, int], int] = {}
-            for k in range(p):
-                i, i2, j = u[k], u[(k + 1) % p], v[k]
-                if i != i2:
-                    for cell in ((i, j), (i2, j)):
-                        plain[cell] = plain.get(cell, 0) + 1
-                        bexp[cell] = bexp.get(cell, 0) + 1
-                else:
-                    cell = (i, j)
-                    centered[cell] = centered.get(cell, 0) + 1
-                    bexp[cell] = bexp.get(cell, 0) + 2
-            term = 1
-            for cell, e in bexp.items():
-                b = ent[cell[0]][cell[1]]
-                if b == 0:
-                    term = 0
-                    break
-                a = joint_moment(plain.get(cell, 0), centered.get(cell, 0))
-                if a == 0:
-                    term = 0
-                    break
-                term *= b**e * a
-            total += term
-    if den is not None:
-        total = Fraction(total, den ** (2 * p))
-    return ExactMoment(value=total, p=p, kind="full")
+    return _moment(B, p, "diag", total)

@@ -43,9 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .oracle import _mu
+from .oracle import _mu, _numerators
 from .params import _once, compute_params, compute_schatten_params
-from .profile import ResourceLimitError, VarianceProfile, _exact_parts, _float
+from .profile import ResourceLimitError, VarianceProfile, _float
 
 DEFAULT_SHAPE_CAP = 8
 
@@ -267,16 +267,6 @@ def _quotient_table(s: Shape) -> dict[tuple, int]:
     return {q: coef for q, coef in table.items() if coef}
 
 
-def _numerators(B: VarianceProfile) -> tuple[np.ndarray, int]:
-    """(N, D) with b_ij = N_ij / D exactly, N an object array of Python ints.
-    A float profile uses the exact value of each float64 cell."""
-    if B.exact:
-        nums, den = B.integerized()
-        return np.array(nums, dtype=object), den
-    nums, den = _exact_parts([[Fraction(x) for x in row] for row in B.as_array().tolist()])
-    return nums.astype(object), den
-
-
 def _power(B: VarianceProfile, k: int) -> np.ndarray:
     return _once(B, "numerators", _numerators)[0] ** k
 
@@ -422,11 +412,12 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
                                    n (sigma_inf/sigma_C)^{2(m1-1)} sigma_C^{2 m2} )
       beta_inf > 1 :  the ratio sigma_inf/sigma_C is replaced by sigma_tilde.
 
-    Profiles with sigma_* = 0 yield a not-applicable witness.
+    Profiles with sigma_* = 0 yield a not-applicable witness; sigma_* is
+    exact for an exact profile, while a float one's can underflow to 0.
     """
-    if compute_params(B).sigma_star == 0:
-        return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
     star, NP = _once(B, "normalized_params", _normalized_params)
+    if not star:
+        return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
     w_norm = float(W_value(s, B) / star ** (2 * s.p))  # exact division when the profile is exact
     m1, m2 = s.m1, s.m2
     if NP.beta_inf <= 1:
@@ -445,13 +436,14 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
 
 
 def _normalized_params(B: VarianceProfile) -> tuple:
-    """(sigma_*, the parameters of B / sigma_*), sigma_* exact for an exact profile."""
+    """(sigma_*, the parameters of B / sigma_*, or None when sigma_* is 0).
+    sigma_* is exact for an exact profile, so it is 0 only for the zero profile."""
     if B.exact:
         nums, den = B.integerized()
         star = Fraction(max(map(max, nums)), den)
     else:
         star = compute_params(B).sigma_star
-    return star, compute_params(B.scaled(1 / star))
+    return star, compute_params(B.scaled(1 / star)) if star else None
 
 
 def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> CeilingWitness:

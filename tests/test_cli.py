@@ -212,6 +212,15 @@ class TestOracleCommand:
         status, out, _ = run_cli(capsys, "oracle", "--profile", profile_file, "--p", "12", "--cap", "100")
         assert status == 2
 
+    def test_walk_node_cap_exit_2(self, capsys):
+        argv = ["oracle", "--family", "constant", "--d", "3", "--n", "3", "--p", "4", "--cap", "100"]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert payload_of(out)["error"] == {
+            "type": "ResourceLimitError", "message": "direct expansion visits more than 100 walk nodes",
+        }
+        assert "Traceback" not in err
+
 
 class TestShapesCommand:
     def test_census_p2(self, capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from covdev import (
     trace_moment_via_shapes,
 )
 
-from conftest import naive_diag_p2, naive_offdiag_p2, rational_profile
+from conftest import float_profile, naive_diag_p2, naive_offdiag_p2, rational_profile
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 
@@ -214,3 +215,128 @@ class TestMomentProperties:
             B = rational_profile(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             for p in (1, 2, 3, 4):
                 assert trace_moment_via_shapes(B, p) == offdiag_trace_moment(B, p).value
+
+
+# --- the walk against the direct product expansion -------------------------
+
+
+def integer_cells(B):
+    """(N, D) with b_ij = N_ij / D exactly, from the exact value of every cell."""
+    cells = [[Fraction(x) for x in row] for row in B.entries]
+    den = math.lcm(*(x.denominator for row in cells for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in cells], den
+
+
+def offdiag_by_product(B, p):
+    """E Tr(offdiag(X X^T))^p over all d^p n^p index tuples, exact."""
+    ent, den = integer_cells(B)
+    d, n = B.d, B.n
+    total = 0
+    for u in product(range(d), repeat=p):
+        if any(u[k] == u[(k + 1) % p] for k in range(p)):
+            continue
+        for v in product(range(n), repeat=p):
+            cells = {}
+            for k in range(p):
+                for cell in ((u[k], v[k]), (u[(k + 1) % p], v[k])):
+                    cells[cell] = cells.get(cell, 0) + 1
+            if any(c % 2 for c in cells.values()):
+                continue
+            term = 1
+            for (i, j), c in cells.items():
+                term *= ent[i][j] ** c * joint_moment(c, 0)
+            total += term
+    return Fraction(total, den ** (2 * p))
+
+
+def full_by_product(B, p):
+    """E Tr(X X^T - E X X^T)^p over all d^p n^p index tuples, exact."""
+    ent, den = integer_cells(B)
+    d, n = B.d, B.n
+    total = 0
+    for u in product(range(d), repeat=p):
+        for v in product(range(n), repeat=p):
+            plain, centered, bexp = {}, {}, {}
+            for k in range(p):
+                i, i2, j = u[k], u[(k + 1) % p], v[k]
+                if i != i2:
+                    for cell in ((i, j), (i2, j)):
+                        plain[cell] = plain.get(cell, 0) + 1
+                        bexp[cell] = bexp.get(cell, 0) + 1
+                else:
+                    centered[(i, j)] = centered.get((i, j), 0) + 1
+                    bexp[(i, j)] = bexp.get((i, j), 0) + 2
+            term = 1
+            for (i, j), e in bexp.items():
+                a = joint_moment(plain.get((i, j), 0), centered.get((i, j), 0))
+                if a == 0:
+                    term = 0
+                    break
+                term *= ent[i][j] ** e * a
+            total += term
+    return Fraction(total, den ** (2 * p))
+
+
+def reference_profiles(d, n, seed):
+    """An exact and a float profile without zero cells, then each with one."""
+    rng = np.random.default_rng(seed)
+    exact = rational_profile(rng, d, n, max_num=6)
+    exact = VarianceProfile([[x or Fraction(1, 3) for x in row] for row in exact.entries], exact=True)
+    floats = float_profile(rng, d, n, zero_frac=0.0)
+    out = [exact, floats]
+    for B in (exact, floats):
+        rows = [list(row) for row in B.entries]
+        rows[int(rng.integers(d))][int(rng.integers(n))] = Fraction(0) if B.exact else 0.0
+        out.append(VarianceProfile(rows, exact=B.exact))
+    return out
+
+
+SIZES = [(d, n, 6) for d in (1, 2, 3) for n in (1, 2, 3)] + [(4, 4, 4)]
+
+
+class TestWalkAgainstProductExpansion:
+    @pytest.mark.parametrize("d,n,pmax", SIZES)
+    def test_offdiag_and_full(self, d, n, pmax):
+        for B in reference_profiles(d, n, seed=40 + 10 * d + n):
+            for p in range(1, pmax + 1):
+                for fn, reference in ((offdiag_trace_moment, offdiag_by_product), (full_trace_moment, full_by_product)):
+                    want = reference(B, p)
+                    got = fn(B, p).value
+                    if B.exact:
+                        assert got == want and isinstance(got, Fraction), (fn.__name__, p, B.entries)
+                    else:  # the correctly rounded exact moment of the float cells
+                        assert isinstance(got, float) and got == float(want), (fn.__name__, p, B.entries)
+
+    def test_float_moments_bitwise_invariant_under_permutations(self):
+        rng = np.random.default_rng(41)
+        arr = float_profile(rng, 3, 4).as_array()
+        B = VarianceProfile(arr, exact=False)
+        for _ in range(3):
+            permuted = VarianceProfile(arr[rng.permutation(3)][:, rng.permutation(4)], exact=False)
+            for p in (2, 3, 4):
+                for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
+                    assert fn(permuted, p).value.hex() == fn(B, p).value.hex()
+
+    def test_float_diag_is_rounded_exact_moment(self):
+        rng = np.random.default_rng(42)
+        Bf = float_profile(rng, 3, 4)
+        B = VarianceProfile([[Fraction(x) for x in row] for row in Bf.entries], exact=True)
+        for p in range(1, 7):
+            assert diag_trace_moment(Bf, p).value == float(diag_trace_moment(B, p).value)
+
+
+class TestWalkCap:
+    def test_8x8_p4_under_default_cap(self):
+        # 8^8 index tuples are over the default cap; the walk's nodes are not
+        B = generate(ProfileFamily.constant(), 8, 8)
+        assert offdiag_trace_moment(B, 4).value == trace_moment_via_shapes(B, 4)
+
+    def test_cap_error_is_deterministic(self):
+        B = generate(ProfileFamily.constant(), 3, 3)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError) as info:
+                full_trace_moment(B, 4, cap=100)
+            messages.add(str(info.value))
+        assert messages == {"direct expansion visits more than 100 walk nodes"}
+        assert full_trace_moment(B, 4, cap=10**4).value == full_by_product(B, 4)

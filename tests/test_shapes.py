@@ -371,6 +371,20 @@ class TestCeilingChecks:
         w = check_opnorm_ceiling(s, Z)
         assert not w.applicable and w.holds
 
+    def test_underflowing_exact_profile_is_applicable(self):
+        # the float sigma_* of this profile underflows to 0, its exact weight does not
+        s = enumerate_shapes(2)[0]
+        tiny = 10**200
+        B = load_profile(f"1/{tiny},1/{tiny}\n1/{tiny},2/{tiny}", format="csv")
+        assert W_value(s, B) > 0
+        w = check_opnorm_ceiling(s, B)
+        assert w.applicable and w.w_value > 0 and w.holds
+
+    def test_underflowing_float_profile_does_not_raise(self):
+        s = enumerate_shapes(2)[0]
+        B = VarianceProfile([[1e-200, 1e-200], [1e-200, 2e-200]], exact=False)
+        assert check_opnorm_ceiling(s, B).holds
+
     def test_single_entry_profile(self):
         s = enumerate_shapes(2)[0]
         B = load_profile("0,0\n0,2", format="csv")

@@ -27,7 +27,6 @@ from .montecarlo import (
     estimate_deviation,
     estimate_opnorm_deviation,
     estimate_schatten_trace,
-    sample_deviation,
     sample_stream,
     tightness_report,
 )
@@ -82,6 +81,6 @@ __all__ = [
     "check_opnorm_ceiling", "check_schatten_ceiling",
     "ExactMoment", "joint_moment", "joint_moment_table",
     "offdiag_trace_moment", "diag_trace_moment", "full_trace_moment",
-    "SimConfig", "MomentEstimate", "sample_stream", "sample_deviation",
+    "SimConfig", "MomentEstimate", "sample_stream",
     "estimate_deviation", "estimate_opnorm_deviation", "estimate_schatten_trace", "tightness_report",
 ]

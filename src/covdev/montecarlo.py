@@ -2,23 +2,28 @@
 
 Each sample is one draw and one dense eigensolve: the operator norm and every
 requested Schatten trace come from the same eigenvalues.  Reproducibility
-contract: sample i draws from an independent Philox stream obtained by
-jumping the keyed generator i times, so results do not depend on scheduling
-and are identical for identical (seed, samples) on one build.  Aggregation
-over samples is a fixed-order compensated sum.  Normal variates come from
-numpy's ziggurat implementation; bit-equality across numpy versions or other
-libraries is out of scope.
+contract: sample i draws from Philox keyed by the seed with i in its counter,
+the same stream as the keyed generator jumped i times, so results do not
+depend on scheduling and are identical for identical (seed, samples) on one
+build.  Samples are drawn into chunks that are multiplied, assembled and
+solved as stacks, elementwise or per matrix, so results do not depend on the
+chunk size.  Aggregation over samples is a fixed-order compensated sum.
+Normal variates come from numpy's ziggurat implementation; bit-equality
+across numpy versions or other libraries is out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .bounds import BoundConfig, chz_bound, free_probability_bound, lower_bound_opnorm, main_upper_bound
 from .profile import VarianceProfile
+
+# Chunk budget: the bytes of one chunk's draws, or of its d x d matrices when d > n.
+_CHUNK_BYTES = 1 << 20
 
 
 class EigenConvergenceError(RuntimeError):
@@ -58,36 +63,15 @@ class MomentEstimate:
     mean_root: float | None = None  # mean**(1/p) for Schatten targets
 
     def to_dict(self) -> dict:
-        out = {
-            "target": self.target,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-        if self.mean_root is not None:
-            out["mean_root"] = self.mean_root
+        out = asdict(self)
+        if self.mean_root is None:
+            del out["mean_root"]
         return out
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent per-sample stream: Philox keyed by seed, jumped index times."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(index))
-
-
-def sample_deviation(B: VarianceProfile, rng: np.random.Generator) -> np.ndarray:
-    """One draw of X X^T - E X X^T with X_ij = b_ij g_ij.
-
-    E X X^T = diag(sum_j b_ij^2).  The output is assembled from one computed
-    triangle, so it is exactly symmetric.
-    """
-    arr = B.as_array()
-    g = rng.standard_normal(size=arr.shape)
-    X = arr * g
-    C = X @ X.T
-    upper = np.triu(C, 1)
-    M = upper + upper.T + np.diag(np.diagonal(C) - (arr * arr).sum(axis=1))
-    return M
+    """Independent per-sample stream: Philox keyed by seed, index in the counter."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -97,23 +81,47 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var) / math.sqrt(s)
 
 
+def _eigvalsh(M: np.ndarray, first: int) -> np.ndarray:
+    """Eigenvalues of a stack of matrices, the first being sample `first`; a
+    failed stack is re-solved one matrix at a time to name the failing sample."""
+    try:
+        return np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        if M.ndim == 2:
+            raise EigenConvergenceError(first, str(exc)) from exc
+    return np.stack([_eigvalsh(m, first + t) for t, m in enumerate(M)])
+
+
 def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimate]:
     """Mean and standard error of ||M|| and of Tr(M^p) for each p in
     cfg.p_list, M = X X^T - E X X^T, over cfg.samples draws.
 
-    Each sample is drawn and decomposed once.  Returns the opnorm estimate
-    followed by one schatten_trace(p) estimate per entry of cfg.p_list; those
-    also report mean**(1/p).  For even p the trace is nonnegative.
+    E X X^T = diag(sum_j b_ij^2), and M is assembled from one computed
+    triangle, so it is exactly symmetric.  Returns the opnorm estimate followed
+    by one schatten_trace(p) estimate per entry of cfg.p_list; those also
+    report mean**(1/p).  For even p the trace is nonnegative.
     """
-    rows = []
-    for i in range(cfg.samples):
-        M = sample_deviation(B, sample_stream(cfg.seed, i))
-        try:
-            vals = np.linalg.eigvalsh(M)
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(i, str(exc)) from exc
-        rows.append([float(max(abs(vals[0]), abs(vals[-1])))] + [float(np.sum(vals**p)) for p in cfg.p_list])
-    (mean, stderr), *traces = (_mean_stderr(col) for col in zip(*rows))
+    arr = B.as_array()
+    d, n = arr.shape
+    k = max(1, min(cfg.samples, _CHUNK_BYTES // (arr.itemsize * d * max(d, n))))
+    G = np.empty((k, d, n))
+    expected_diag = (arr * arr).sum(axis=1)
+    cols = np.empty((1 + len(cfg.p_list), cfg.samples))
+    for start in range(0, cfg.samples, k):
+        X = G[: min(k, cfg.samples - start)]
+        for t, g in enumerate(X):
+            sample_stream(cfg.seed, start + t).standard_normal(out=g)
+        X *= arr
+        C = X @ X.transpose(0, 2, 1)
+        upper = np.triu(C, 1)
+        M = upper + upper.transpose(0, 2, 1)
+        M[:, range(d), range(d)] = np.diagonal(C, axis1=1, axis2=2) - expected_diag
+        vals = _eigvalsh(M, start)
+        stop = start + len(X)
+        cols[0, start:stop] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+        for row, p in zip(cols[1:], cfg.p_list):
+            row[start:stop] = np.sum(vals**p, axis=1)
+    (mean, stderr), *traces = (_mean_stderr(col.tolist()) for col in cols)
     out = [MomentEstimate(target="opnorm", mean=mean, stderr=stderr, samples=cfg.samples, seed=cfg.seed)]
     for p, (mean, stderr) in zip(cfg.p_list, traces):
         out.append(MomentEstimate(
@@ -139,22 +147,14 @@ def tightness_report(B: VarianceProfile, cfg: SimConfig, bcfg: BoundConfig | Non
     vanishes (all-zero profile)."""
     bcfg = bcfg or BoundConfig()
     est = estimate_opnorm_deviation(B, cfg)
-    lower = lower_bound_opnorm(B)
-    upper = main_upper_bound(B, bcfg)
-    chz = chz_bound(B, bcfg)
-    free = free_probability_bound(B, bcfg)
-    emp_over_lower = est.mean / lower.total if lower.total > 0 else None
-    upper_over_emp = upper.total / est.mean if est.mean > 0 else None
+    lower, upper = lower_bound_opnorm(B), main_upper_bound(B, bcfg)
+    bounds = {"lower_bound_opnorm": lower, "main_upper_bound": upper,
+              "chz_bound": chz_bound(B, bcfg), "free_probability_bound": free_probability_bound(B, bcfg)}
     return {
         "estimate": est.to_dict(),
-        "bounds": {
-            "lower_bound_opnorm": lower.to_dict(),
-            "main_upper_bound": upper.to_dict(),
-            "chz_bound": chz.to_dict(),
-            "free_probability_bound": free.to_dict(),
-        },
+        "bounds": {name: report.to_dict() for name, report in bounds.items()},
         "ratios": {
-            "empirical_over_lower": emp_over_lower,
-            "upper_over_empirical": upper_over_emp,
+            "empirical_over_lower": est.mean / lower.total if lower.total > 0 else None,
+            "upper_over_empirical": upper.total / est.mean if est.mean > 0 else None,
         },
     }

@@ -455,14 +455,18 @@ def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> Cei
 
     Requires sum_e k_e = 2 p_schatten (the shape and the Schatten order must
     match).  The statement is scale-invariant, so no normalization is needed.
+    Only the zero profile passes trivially; a nonzero profile whose float
+    sigma_* underflows to 0 yields a not-applicable witness.
     """
     if sum(s.edge_mult.values()) != 2 * p_schatten:
         raise ValueError(
             f"shape traverses {sum(s.edge_mult.values())} edges, expected {2 * p_schatten}"
         )
+    if B.is_zero:
+        return CeilingWitness(applicable=True, case="beta_le_1", w_value=0.0, ceiling=0.0)
     P = compute_params(B)
     if P.sigma_star == 0:
-        return CeilingWitness(applicable=True, case="beta_le_1", w_value=0.0, ceiling=0.0)
+        return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
     Q = compute_schatten_params(B, p_schatten)
     star, c = P.sigma_star, P.sigma_C
     m1, m2 = s.m1, s.m2

@@ -17,7 +17,6 @@ from covdev import (
     load_profile,
     lower_bound_opnorm,
     main_upper_bound,
-    sample_deviation,
     sample_stream,
     tightness_report,
 )
@@ -25,6 +24,27 @@ from covdev import montecarlo
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
+
+
+def sample_deviation(B, rng):
+    """Reference: one draw of X X^T - E X X^T with X_ij = b_ij g_ij, assembled
+    from one computed triangle so it is exactly symmetric."""
+    arr = B.as_array()
+    g = rng.standard_normal(size=arr.shape)
+    X = arr * g
+    C = X @ X.T
+    upper = np.triu(C, 1)
+    return upper + upper.T + np.diag(np.diagonal(C) - (arr * arr).sum(axis=1))
+
+
+def jumped_stream(seed, index):
+    """Reference stream: Philox keyed by seed, jumped index times."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(index))
+
+
+def chunk_budget(B, samples):
+    """A chunk budget that holds exactly `samples` samples of B."""
+    return 8 * B.d * max(B.d, B.n) * samples
 
 
 class TestSampleDeviation:
@@ -112,26 +132,60 @@ class TestEstimates:
 
 
 def _reference_estimates(B, seed, samples, p_list):
-    """Per-sample draw, dense eigensolve and reduction, written out in full."""
+    """Per-sample jumped stream, draw, dense eigensolve and reduction, written
+    out in full."""
     opnorms, traces = [], {p: [] for p in p_list}
     for i in range(samples):
-        vals = np.linalg.eigvalsh(sample_deviation(B, sample_stream(seed, i)))
+        vals = np.linalg.eigvalsh(sample_deviation(B, jumped_stream(seed, i)))
         opnorms.append(float(max(abs(vals[0]), abs(vals[-1]))))
         for p in p_list:
             traces[p].append(float(np.sum(vals**p)))
     return [montecarlo._mean_stderr(opnorms)] + [montecarlo._mean_stderr(traces[p]) for p in p_list]
 
 
+def _float_profile(seed, d, n):
+    """Seeded float profile with about 20% zero cells."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 2.0, size=(d, n))
+    a[rng.random((d, n)) < 0.2] = 0.0
+    return VarianceProfile(a.tolist(), exact=False)
+
+
+# With the default chunk budget: 2x2 fits in one chunk, 20x400 takes 16
+# samples a chunk, 150x300 takes 2 and 60x20 (d > n) takes 36.
+PROFILES = [
+    (B2212, 300),
+    (generate(ProfileFamily.constant(), 20, 40), 30),
+    (generate(ProfileFamily.constant(), 20, 400), 37),
+    (_float_profile(3, 150, 300), 5),
+    (_float_profile(4, 60, 20), 41),
+]
+PROFILE_IDS = ["2x2", "constant-20x40", "constant-20x400", "float-150x300", "float-60x20"]
+
+
 class TestOnePass:
-    @pytest.mark.parametrize("B, samples", [
-        (B2212, 300),
-        (generate(ProfileFamily.constant(), 20, 40), 30),
-    ], ids=["2x2", "constant-20x40"])
+    @pytest.mark.parametrize("B, samples", PROFILES, ids=PROFILE_IDS)
     def test_bit_identical_to_reference_loop(self, B, samples):
         cfg = SimConfig(seed=17, samples=samples, p_list=(2, 4))
         ests = estimate_deviation(B, cfg)
         assert [e.target for e in ests] == ["opnorm", "schatten_trace(2)", "schatten_trace(4)"]
         assert [(e.mean, e.stderr) for e in ests] == _reference_estimates(B, 17, samples, (2, 4))
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("B, samples", PROFILES, ids=PROFILE_IDS)
+    def test_chunk_size_does_not_change_results(self, monkeypatch, B, samples, chunk):
+        cfg = SimConfig(seed=2**63 + 1, samples=samples, p_list=(2, 6))
+        default = estimate_deviation(B, cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B, chunk))
+        assert estimate_deviation(B, cfg) == default
+        assert [(e.mean, e.stderr) for e in default] == _reference_estimates(B, 2**63 + 1, samples, (2, 6))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 5, 2**20])
+    def test_counter_stream_equals_jumped_stream(self, seed, index):
+        a = sample_stream(seed, index).standard_normal(size=1000)
+        b = jumped_stream(seed, index).standard_normal(size=1000)
+        assert (a == b).all()
 
     def test_single_target_entry_points_select(self):
         cfg = SimConfig(seed=4, samples=25, p_list=(2, 4))
@@ -141,22 +195,28 @@ class TestOnePass:
         assert estimate_schatten_trace(B2212, 4, cfg) == tr4
         assert tr4.mean_root == tr4.mean ** 0.25
 
-    def test_one_draw_and_one_eigensolve_per_sample(self, monkeypatch):
-        calls = {"draw": 0, "eig": 0}
-        draw, eig = montecarlo.sample_deviation, np.linalg.eigvalsh
+    def test_one_draw_per_sample_and_one_eigensolve_per_chunk(self, monkeypatch):
+        draws, solved = [], []
+        stream, eig = montecarlo.sample_stream, np.linalg.eigvalsh
 
-        def counted_draw(*a):
-            calls["draw"] += 1
-            return draw(*a)
+        class CountedStream:
+            def __init__(self, seed, index):
+                self.rng, self.index = stream(seed, index), index
 
-        def counted_eig(*a):
-            calls["eig"] += 1
-            return eig(*a)
+            def standard_normal(self, **kw):
+                draws.append(self.index)
+                return self.rng.standard_normal(**kw)
 
-        monkeypatch.setattr(montecarlo, "sample_deviation", counted_draw)
+        def counted_eig(M):
+            solved.append(len(M))
+            return eig(M)
+
+        monkeypatch.setattr(montecarlo, "sample_stream", CountedStream)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eig)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 5))
         estimate_deviation(B2212, SimConfig(seed=0, samples=12, p_list=(2, 4, 6)))
-        assert calls == {"draw": 12, "eig": 12}
+        assert draws == list(range(12))
+        assert solved == [5, 5, 2]
 
     def test_eigensolver_failure_names_the_sample(self, monkeypatch):
         def fail(M):
@@ -166,6 +226,22 @@ class TestOnePass:
         with pytest.raises(montecarlo.EigenConvergenceError) as info:
             estimate_schatten_trace(B2212, 2, SimConfig(seed=0, samples=3))
         assert info.value.sample_index == 0
+
+    def test_failure_in_a_later_chunk_names_that_sample(self, monkeypatch):
+        eig, seed, bad = np.linalg.eigvalsh, 9, 7
+        target = sample_deviation(B2212, jumped_stream(seed, bad))
+
+        def fail_on_target(M):
+            if (M == target).all(axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("no convergence")
+            return eig(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_target)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 3))
+        with pytest.raises(montecarlo.EigenConvergenceError) as info:
+            estimate_deviation(B2212, SimConfig(seed=seed, samples=12, p_list=(2,)))
+        assert info.value.sample_index == bad
+        assert "sample 7" in str(info.value)
 
 
 class TestSimConfig:

@@ -413,3 +413,14 @@ class TestCeilingChecks:
         Z = load_profile("[[0,0],[0,0]]", format="json")
         w = check_schatten_ceiling(s, Z, 2)
         assert w.w_value == 0.0 and w.ceiling == 0.0 and w.holds
+
+    def test_schatten_underflowing_profiles_not_applicable(self):
+        # W(s) > 0 exactly, but the float sigma_* underflows to 0: no trivial pass
+        s = enumerate_shapes(2)[0]
+        tiny = 10**200
+        exact = load_profile(f"1/{tiny},1/{tiny}\n1/{tiny},2/{tiny}", format="csv")
+        floats = VarianceProfile([[1e-200, 1e-200], [1e-200, 2e-200]], exact=False)
+        assert W_value(s, exact) > 0
+        for B in (exact, floats):
+            w = check_schatten_ceiling(s, B, 2)
+            assert not w.applicable and w.case == "not_applicable" and w.holds

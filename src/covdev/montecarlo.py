@@ -6,7 +6,10 @@ contract: sample i draws from Philox keyed by the seed with i in its counter,
 the same stream as the keyed generator jumped i times, so results do not
 depend on scheduling and are identical for identical (seed, samples) on one
 build.  Samples are drawn into chunks that are multiplied, assembled and
-solved as stacks, elementwise or per matrix, so results do not depend on the
+solved as stacks, elementwise or per matrix.  Chunks run on up to one thread
+per available CPU (numpy releases the GIL while it draws and solves); each
+thread re-keys its own generator to sample i's stream and writes sample i's
+results to slot i, so results depend on neither the thread count nor the
 chunk size.  Aggregation over samples is a fixed-order compensated sum.
 Normal variates come from numpy's ziggurat implementation; bit-equality
 across numpy versions or other libraries is out of scope.
@@ -15,6 +18,8 @@ across numpy versions or other libraries is out of scope.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -22,7 +27,8 @@ import numpy as np
 from .bounds import BoundConfig, chz_bound, free_probability_bound, lower_bound_opnorm, main_upper_bound
 from .profile import VarianceProfile
 
-# Chunk budget: the bytes of one chunk's draws, or of its d x d matrices when d > n.
+# Chunk budget, split evenly between the threads: the bytes of the draws in
+# flight, or of their d x d matrices when d > n.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -74,6 +80,23 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
+def _restartable_stream(seed: int):
+    """index -> sample_stream(seed, index), made by re-keying one generator."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = rng.bit_generator.state  # counter 0 and an empty buffer: buffer_pos 4, has_uint32 0
+
+    def restart(index: int) -> np.random.Generator:
+        state["state"]["counter"][2] = index
+        rng.bit_generator.state = state
+        return rng
+
+    return restart
+
+
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     s = len(values)
     mean = math.fsum(values) / s
@@ -103,24 +126,45 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
     """
     arr = B.as_array()
     d, n = arr.shape
-    k = max(1, min(cfg.samples, _CHUNK_BYTES // (arr.itemsize * d * max(d, n))))
-    G = np.empty((k, d, n))
+    sample_bytes = arr.itemsize * d * max(d, n)
+    workers = min(_available_cpus(), math.ceil(cfg.samples / max(1, _CHUNK_BYTES // sample_bytes)))
+    chunks = math.ceil(cfg.samples / max(1, _CHUNK_BYTES // workers // sample_bytes))
     expected_diag = (arr * arr).sum(axis=1)
     cols = np.empty((1 + len(cfg.p_list), cfg.samples))
-    for start in range(0, cfg.samples, k):
-        X = G[: min(k, cfg.samples - start)]
-        for t, g in enumerate(X):
-            sample_stream(cfg.seed, start + t).standard_normal(out=g)
-        X *= arr
-        C = X @ X.transpose(0, 2, 1)
-        upper = np.triu(C, 1)
-        M = upper + upper.transpose(0, 2, 1)
-        M[:, range(d), range(d)] = np.diagonal(C, axis1=1, axis2=2) - expected_diag
-        vals = _eigvalsh(M, start)
-        stop = start + len(X)
-        cols[0, start:stop] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-        for row, p in zip(cols[1:], cfg.p_list):
-            row[start:stop] = np.sum(vals**p, axis=1)
+    failures = {}  # chunk start -> exception, for each worker's first failed chunk
+
+    def solve(worker: int) -> None:
+        """Solve chunks worker, worker + workers, ... into cols, in that order;
+        chunk c starts at sample c * samples // chunks."""
+        start = worker * cfg.samples // chunks  # a failure before any chunk counts as one in the first
+        try:
+            G = np.empty((math.ceil(cfg.samples / chunks), d, n))
+            stream = _restartable_stream(cfg.seed)
+            for c in range(worker, chunks, workers):
+                start, stop = c * cfg.samples // chunks, (c + 1) * cfg.samples // chunks
+                X = G[: stop - start]
+                for t, g in enumerate(X):
+                    stream(start + t).standard_normal(out=g)
+                X *= arr
+                C = X @ X.transpose(0, 2, 1)
+                upper = np.triu(C, 1)
+                M = upper + upper.transpose(0, 2, 1)
+                M[:, range(d), range(d)] = np.diagonal(C, axis1=1, axis2=2) - expected_diag
+                vals = _eigvalsh(M, start)
+                cols[0, start:stop] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+                for row, p in zip(cols[1:], cfg.p_list):
+                    row[start:stop] = np.sum(vals**p, axis=1)
+        except Exception as exc:  # raised below once every worker has stopped
+            failures[start] = exc
+
+    threads = [threading.Thread(target=solve, args=(w,)) for w in range(1, workers)]
+    for th in threads:
+        th.start()
+    solve(0)  # the calling thread is worker 0, and the only one for a single chunk
+    for th in threads:
+        th.join()
+    if failures:
+        raise failures[min(failures)]
     (mean, stderr), *traces = (_mean_stderr(col.tolist()) for col in cols)
     out = [MomentEstimate(target="opnorm", mean=mean, stderr=stderr, samples=cfg.samples, seed=cfg.seed)]
     for p, (mean, stderr) in zip(cfg.p_list, traces):

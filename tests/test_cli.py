@@ -1,10 +1,11 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from covdev import shapes
+from covdev import montecarlo, shapes
 from covdev.cli import dumps_canonical, main
 
 
@@ -194,6 +195,22 @@ class TestSimulateCommand:
         assert status == 2
         assert payload_of(out)["error"] == {"type": "MemoryError", "message": "cannot allocate workspace"}
         assert "Traceback" not in err
+
+    def test_memory_error_in_threaded_chunks_exit_2(self, capsys, monkeypatch):
+        def exhausted(M):
+            raise MemoryError("cannot allocate workspace")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        threads = threading.active_count()
+        # 40 samples of 20x400 take 3 chunks at the default budget, 6 on 3 threads.
+        status, out, err = run_cli(
+            capsys, "simulate", "--family", "constant", "--d", "20", "--n", "400", "--samples", "40", "--p", "2"
+        )
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "MemoryError", "message": "cannot allocate workspace"}
+        assert "Traceback" not in err
+        assert threading.active_count() == threads
 
 
 class TestOracleCommand:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ PROFILES = [
     (_float_profile(4, 60, 20), 41),
 ]
 PROFILE_IDS = ["2x2", "constant-20x40", "constant-20x400", "float-150x300", "float-60x20"]
+# A 1x1 and a 1x3 profile draw an odd count of normals a sample.
+WORKER_PROFILES = PROFILES + [(load_profile("1.5", format="csv"), 23), (load_profile("1,0,2", format="csv"), 19)]
+WORKER_PROFILE_IDS = PROFILE_IDS + ["1x1", "1x3"]
+
+
+def _state(rng):
+    """A generator's bit-generator state, with its arrays as lists."""
+    st = rng.bit_generator.state
+    return {**st, "state": {k: v.tolist() for k, v in st["state"].items()}, "buffer": st["buffer"].tolist()}
 
 
 class TestOnePass:
@@ -180,6 +190,44 @@ class TestOnePass:
         assert estimate_deviation(B, cfg) == default
         assert [(e.mean, e.stderr) for e in default] == _reference_estimates(B, 2**63 + 1, samples, (2, 6))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("B, samples", WORKER_PROFILES, ids=WORKER_PROFILE_IDS)
+    def test_worker_count_does_not_change_results(self, monkeypatch, B, samples, chunk, workers):
+        cfg = SimConfig(seed=5, samples=samples, p_list=(2, 4))
+        default = estimate_deviation(B, cfg)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B, chunk))
+        assert estimate_deviation(B, cfg) == default
+        assert [(e.mean, e.stderr) for e in default] == _reference_estimates(B, 5, samples, (2, 4))
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        cfg = SimConfig(seed=8, samples=300, p_list=(2,))
+        reference = _reference_estimates(B2212, 8, 300, (2,))
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert [(e.mean, e.stderr) for e in estimate_deviation(B2212, cfg)] == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_restarted_stream_equals_sample_stream(self, seed):
+        restart = montecarlo._restartable_stream(seed)
+        # Out of order, each visit leaving a part-used buffer and, after an
+        # odd count of 32-bit draws, a buffered half word behind.
+        for index, size in [(5, 1), (2, 3), (2**20, 5), (0, 1), (5, 3), (2, 5)]:
+            rng, ref = restart(index), sample_stream(seed, index)
+            assert _state(rng) == _state(ref)
+            assert (rng.standard_normal(size) == ref.standard_normal(size)).all()
+            words = [r.integers(2**32, size=size, dtype=np.uint32) for r in (rng, ref)]
+            assert (words[0] == words[1]).all()
+            assert rng.bit_generator.state["has_uint32"] == 1 == size % 2
+
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("index", [0, 1, 5, 2**20])
     def test_counter_stream_equals_jumped_stream(self, seed, index):
@@ -197,11 +245,17 @@ class TestOnePass:
 
     def test_one_draw_per_sample_and_one_eigensolve_per_chunk(self, monkeypatch):
         draws, solved = [], []
-        stream, eig = montecarlo.sample_stream, np.linalg.eigvalsh
+        restartable, eig = montecarlo._restartable_stream, np.linalg.eigvalsh
 
         class CountedStream:
-            def __init__(self, seed, index):
-                self.rng, self.index = stream(seed, index), index
+            """One worker's stream; records the sample index of every draw."""
+
+            def __init__(self, seed):
+                self.restart = restartable(seed)
+
+            def __call__(self, index):
+                self.rng, self.index = self.restart(index), index
+                return self
 
             def standard_normal(self, **kw):
                 draws.append(self.index)
@@ -211,12 +265,18 @@ class TestOnePass:
             solved.append(len(M))
             return eig(M)
 
-        monkeypatch.setattr(montecarlo, "sample_stream", CountedStream)
+        monkeypatch.setattr(montecarlo, "_restartable_stream", CountedStream)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eig)
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 5))
-        estimate_deviation(B2212, SimConfig(seed=0, samples=12, p_list=(2, 4, 6)))
-        assert draws == list(range(12))
-        assert solved == [5, 5, 2]
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 4))
+        # The budget is split between workers, and chunks are even: 13
+        # samples at 4 a chunk make chunks of 3, 3, 3 and 4.
+        for workers, samples, stacks in [(1, 12, [4] * 3), (2, 12, [2] * 6), (3, 12, [1] * 12), (1, 13, [3, 3, 3, 4])]:
+            draws.clear()
+            solved.clear()
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda w=workers: w)
+            estimate_deviation(B2212, SimConfig(seed=0, samples=samples, p_list=(2, 4, 6)))
+            assert sorted(draws) == list(range(samples)), workers
+            assert sorted(solved) == stacks, workers
 
     def test_eigensolver_failure_names_the_sample(self, monkeypatch):
         def fail(M):
@@ -242,6 +302,24 @@ class TestOnePass:
             estimate_deviation(B2212, SimConfig(seed=seed, samples=12, p_list=(2,)))
         assert info.value.sample_index == bad
         assert "sample 7" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [(4, 7), (7, 10), (1, 5)])
+    def test_two_failures_in_different_chunks_name_the_lower(self, monkeypatch, bad):
+        # Chunks of 3 on 2 workers: worker 0 solves samples 0-2 and 6-8, worker 1 3-5 and 9-11.
+        eig, seed = np.linalg.eigvalsh, 9
+        targets = [sample_deviation(B2212, jumped_stream(seed, i)) for i in bad]
+
+        def fail_on_targets(M):
+            if any((M == t).all(axis=(-2, -1)).any() for t in targets):
+                raise np.linalg.LinAlgError("no convergence")
+            return eig(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_targets)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 6))
+        with pytest.raises(montecarlo.EigenConvergenceError) as info:
+            estimate_deviation(B2212, SimConfig(seed=seed, samples=12, p_list=(2,)))
+        assert info.value.sample_index == min(bad)
 
 
 class TestSimConfig:

@@ -3,16 +3,12 @@
 Each sample is one draw and one dense eigensolve: the operator norm and every
 requested Schatten trace come from the same eigenvalues.  Reproducibility
 contract: sample i draws from Philox keyed by the seed with i in its counter,
-the same stream as the keyed generator jumped i times, so results do not
-depend on scheduling and are identical for identical (seed, samples) on one
-build.  Samples are drawn into chunks that are multiplied, assembled and
-solved as stacks, elementwise or per matrix.  Chunks run on up to one thread
-per available CPU (numpy releases the GIL while it draws and solves); each
-thread re-keys its own generator to sample i's stream and writes sample i's
-results to slot i, so results depend on neither the thread count nor the
-chunk size.  Aggregation over samples is a fixed-order compensated sum.
-Normal variates come from numpy's ziggurat implementation; bit-equality
-across numpy versions or other libraries is out of scope.
+the same stream as the keyed generator jumped i times.  Chunks of samples are
+multiplied, assembled and solved as stacks, on up to two threads, each sample
+into its own slot, and aggregated by a fixed-order compensated sum: results
+do not depend on the chunk size or the thread count, and are identical for
+identical (seed, samples) on one build.  Normal variates come from numpy's
+ziggurat; bit-equality across numpy versions or other libraries is out of scope.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ import numpy as np
 from .bounds import BoundConfig, chz_bound, free_probability_bound, lower_bound_opnorm, main_upper_bound
 from .profile import VarianceProfile
 
-# Chunk budget, split evenly between the threads: the bytes of the draws in
-# flight, or of their d x d matrices when d > n.
+# Chunk budget, split between the threads: the bytes of the draws in flight,
+# or of their d x d matrices when d > n.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -93,8 +89,12 @@ def _restartable_stream(seed: int):
     return restart
 
 
-def _available_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _workers(d: int, n: int) -> int:
+    """Threads for a d x n profile: two, CPUs allowing, in the band where that
+    paid in every measured case (OpenBLAS, 2 CPUs).  Below it the GIL-held
+    re-key dominates; above it BLAS threads the product or eigensolve itself."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, 2) if d <= 64 and 64 <= d * n <= 8192 else 1
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -127,20 +127,21 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
     arr = B.as_array()
     d, n = arr.shape
     sample_bytes = arr.itemsize * d * max(d, n)
-    workers = min(_available_cpus(), math.ceil(cfg.samples / max(1, _CHUNK_BYTES // sample_bytes)))
+    workers = min(_workers(d, n), math.ceil(cfg.samples / max(1, _CHUNK_BYTES // sample_bytes)))
     chunks = math.ceil(cfg.samples / max(1, _CHUNK_BYTES // workers // sample_bytes))
     expected_diag = (arr * arr).sum(axis=1)
     cols = np.empty((1 + len(cfg.p_list), cfg.samples))
-    failures = {}  # chunk start -> exception, for each worker's first failed chunk
+    failures, lock = {}, threading.Lock()  # chunk -> its error; no worker starts a chunk past the lowest
 
-    def solve(worker: int) -> None:
-        """Solve chunks worker, worker + workers, ... into cols, in that order;
-        chunk c starts at sample c * samples // chunks."""
-        start = worker * cfg.samples // chunks  # a failure before any chunk counts as one in the first
+    def solve(c: int) -> None:
+        """Solve chunk c and every workers-th chunk after it into cols."""
         try:
             G = np.empty((math.ceil(cfg.samples / chunks), d, n))
             stream = _restartable_stream(cfg.seed)
-            for c in range(worker, chunks, workers):
+            for c in range(c, chunks, workers):
+                with lock:
+                    if c > min(failures, default=c):
+                        return
                 start, stop = c * cfg.samples // chunks, (c + 1) * cfg.samples // chunks
                 X = G[: stop - start]
                 for t, g in enumerate(X):
@@ -154,8 +155,9 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
                 cols[0, start:stop] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
                 for row, p in zip(cols[1:], cfg.p_list):
                     row[start:stop] = np.sum(vals**p, axis=1)
-        except Exception as exc:  # raised below once every worker has stopped
-            failures[start] = exc
+        except BaseException as exc:
+            with lock:
+                failures[c] = exc
 
     threads = [threading.Thread(target=solve, args=(w,)) for w in range(1, workers)]
     for th in threads:

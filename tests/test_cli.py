@@ -201,9 +201,10 @@ class TestSimulateCommand:
             raise MemoryError("cannot allocate workspace")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: 3)
         threads = threading.active_count()
-        # 40 samples of 20x400 take 3 chunks at the default budget, 6 on 3 threads.
+        # 40 samples of 20x400 take 3 chunks at the default budget; 3 threads split
+        # it into chunks of 5 samples, 8 in all.
         status, out, err = run_cli(
             capsys, "simulate", "--family", "constant", "--d", "20", "--n", "400", "--samples", "40", "--p", "2"
         )

@@ -1,5 +1,8 @@
 import math
+import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -196,7 +199,7 @@ class TestOnePass:
     def test_worker_count_does_not_change_results(self, monkeypatch, B, samples, chunk, workers):
         cfg = SimConfig(seed=5, samples=samples, p_list=(2, 4))
         default = estimate_deviation(B, cfg)
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: workers)
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B, chunk))
         assert estimate_deviation(B, cfg) == default
@@ -205,7 +208,7 @@ class TestOnePass:
     def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
         cfg = SimConfig(seed=8, samples=300, p_list=(2,))
         reference = _reference_estimates(B2212, 8, 300, (2,))
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: 8)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 8))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -273,7 +276,7 @@ class TestOnePass:
         for workers, samples, stacks in [(1, 12, [4] * 3), (2, 12, [2] * 6), (3, 12, [1] * 12), (1, 13, [3, 3, 3, 4])]:
             draws.clear()
             solved.clear()
-            monkeypatch.setattr(montecarlo, "_available_cpus", lambda w=workers: w)
+            monkeypatch.setattr(montecarlo, "_workers", lambda d, n, w=workers: w)
             estimate_deviation(B2212, SimConfig(seed=0, samples=samples, p_list=(2, 4, 6)))
             assert sorted(draws) == list(range(samples)), workers
             assert sorted(solved) == stacks, workers
@@ -315,11 +318,58 @@ class TestOnePass:
             return eig(M)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_targets)
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: 2)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 6))
         with pytest.raises(montecarlo.EigenConvergenceError) as info:
             estimate_deviation(B2212, SimConfig(seed=seed, samples=12, p_list=(2,)))
         assert info.value.sample_index == min(bad)
+
+
+    def test_no_chunk_starts_past_a_failed_one(self, monkeypatch):
+        eig, failed, solved = np.linalg.eigvalsh, threading.Event(), []
+
+        def fail_off_main_thread(M):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise MemoryError("cannot allocate workspace")
+            assert failed.wait(10)
+            time.sleep(0.05)  # let worker 1 record its failed chunk 1
+            solved.append(len(M))
+            return eig(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_off_main_thread)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: 2)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 2))
+        with pytest.raises(MemoryError):
+            estimate_deviation(B2212, SimConfig(seed=0, samples=12, p_list=(2,)))
+        assert solved == [1]  # chunk 0 only; chunks 2, 4, ... 10 were never started
+
+    def test_interrupt_in_calling_thread_joins_the_workers(self, monkeypatch):
+        eig, interrupted, solved = np.linalg.eigvalsh, threading.Event(), []
+
+        def interrupt_main_thread(M):
+            if threading.current_thread() is threading.main_thread():
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(10)
+            time.sleep(0.05)  # let the calling thread record its failed chunk 0
+            solved.append(len(M))
+            return eig(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", interrupt_main_thread)
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: 3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_budget(B2212, 3))
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_deviation(B2212, SimConfig(seed=0, samples=300, p_list=(2,)))
+        assert threading.active_count() == threads
+        assert solved == [1, 1]  # chunks 1 and 2, begun before the interrupt; 3 to 299 never
+
+    @pytest.mark.parametrize("cpus, expected", [(1, [1] * 9), (16, [1, 1, 2, 2, 2, 2, 1, 1, 1])])
+    def test_two_threads_at_most_and_only_in_the_measured_band(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        shapes = [(2, 2), (4, 4), (8, 8), (20, 400), (64, 128), (60, 20), (40, 300), (90, 90), (150, 300)]
+        assert [montecarlo._workers(d, n) for d, n in shapes] == expected
 
 
 class TestSimConfig:

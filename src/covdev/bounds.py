@@ -16,7 +16,11 @@ every report.  Term labels are stable identifiers:
 All evaluators are total on valid profiles; an all-zero profile yields a zero
 total plus a warning.  Division conventions: sigma_inf/sigma_C is 0 when
 sigma_C = 0, and the branch selectors use the beta zero conventions of the
-params module.
+params module.  Every bound is homogeneous of degree 2 in B, so each
+evaluator builds its terms from the parameters of 2^-e B (see params) and the
+report scales them by 2^(2e) once, inf on overflow.  As e is even, the
+half-degree factors of the free-probability comparator are exact at normal
+scales but rounded anew under an odd power of two.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import compute_params, compute_schatten_params
+from .params import _ldexp, normalized_params, normalized_schatten_params
 from .profile import VarianceProfile
 
 CASE_LE = "beta_le_1"
@@ -85,25 +89,24 @@ class BoundReport:
         }
 
 
-def _report(name, case, leading, errors, cfg, warnings=()) -> BoundReport:
-    errors = tuple((label, value) for label, value in errors)
+def _report(name, case, e, leading, errors, cfg, warnings=()) -> BoundReport:
+    """The report of terms evaluated on 2^-e B, each and their total scaled by 2^(2e)."""
     total = leading + sum(value for _, value in errors)
     return BoundReport(
         bound_name=name,
         case_taken=case,
-        leading_term=leading,
-        error_terms=errors,
-        total=total,
+        leading_term=_ldexp(leading, 2 * e),
+        error_terms=tuple((label, _ldexp(value, 2 * e)) for label, value in errors),
+        total=_ldexp(total, 2 * e),
         constants_used=cfg,
         warnings=tuple(warnings),
     )
 
 
-def _log_term(B: VarianceProfile, cfg: BoundConfig) -> float:
-    L = math.log(min(B.n, B.d))
-    if cfg.log_floor == "floored":
-        L = max(L, 1.0)
-    return L
+def _log_term(x: int, cfg: BoundConfig) -> float:
+    """log(x), floored at 1 when cfg.log_floor is "floored"."""
+    L = math.log(x)
+    return max(L, 1.0) if cfg.log_floor == "floored" else L
 
 
 def _zero_warning(B: VarianceProfile) -> list[str]:
@@ -131,11 +134,11 @@ def main_upper_bound(
         2 sigma_tilde sigma_C / sigma_*   and   (sigma_C sigma_* + sigma_bar).
     """
     cfg = cfg or BoundConfig()
-    P = compute_params(B)
+    e, P = normalized_params(B)
     case = _select_case(P.beta_inf, force_case)
     one_eps = 1 + cfg.epsilon
     ce = cfg.c_eps()
-    L = _log_term(B, cfg)
+    L = _log_term(min(B.n, B.d), cfg)
     if case == CASE_LE:
         ratio = P.sigma_inf / P.sigma_C if P.sigma_C > 0 else 0.0
         leading = one_eps * (2 * P.sigma_inf + P.sigma_C**2)
@@ -146,7 +149,7 @@ def main_upper_bound(
         sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_bar_inf) * math.sqrt(L)
     log_term = one_eps * ce**2 * P.sigma_star**2 * L
     return _report(
-        "main_upper_bound", case, leading,
+        "main_upper_bound", case, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
     )
 
@@ -166,8 +169,8 @@ def schatten_upper_bound(
     module for users who want the tighter leading term.
     """
     cfg = cfg or BoundConfig()
-    P = compute_params(B)
-    Q = compute_schatten_params(B, p)
+    e, P = normalized_params(B)
+    _, Q = normalized_schatten_params(B, p)
     case = _select_case(Q.beta_p, force_case)
     scale = B.d ** (1.0 / p)
     if case == CASE_LE:
@@ -180,7 +183,7 @@ def schatten_upper_bound(
         sqrt_p = scale * cfg.C_universal * math.sqrt(p) * (P.sigma_C * P.sigma_star + Q.sigma_bar_p)
     tail = scale * cfg.C_prime * p * Q.b_p**2
     return _report(
-        "schatten_upper_bound", case, leading,
+        "schatten_upper_bound", case, e, leading,
         [("sqrt_p", sqrt_p), ("schatten_tail", tail)], cfg, _zero_warning(B),
     )
 
@@ -188,12 +191,12 @@ def schatten_upper_bound(
 def diagonal_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -> BoundReport:
     """C (sqrt(p) sigma_bar_p + p b_p^2), the two-sided order of the diagonal part."""
     cfg = cfg or BoundConfig()
-    Q = compute_schatten_params(B, p)
+    e, Q = normalized_schatten_params(B, p)
     leading = cfg.C_universal * math.sqrt(p) * Q.sigma_bar_p
     tail = cfg.C_universal * p * Q.b_p**2
     warnings = ["two-sided order estimate; both directions hold up to unspecified constants"]
     warnings += _zero_warning(B)
-    return _report("diagonal_bound", CASE_NA, leading, [("schatten_tail", tail)], cfg, warnings)
+    return _report("diagonal_bound", CASE_NA, e, leading, [("schatten_tail", tail)], cfg, warnings)
 
 
 def standard_gaussian_bound(
@@ -212,21 +215,21 @@ def standard_gaussian_bound(
     sqrt_p = c1 * math.sqrt(p) * (math.sqrt(d) + math.sqrt(n))
     lin = c2 * p
     name = "standard_gaussian_offdiag_bound" if off_diagonal else "standard_gaussian_bound"
-    return _report(name, CASE_NA, leading, [("sqrt_p", sqrt_p), ("p", lin)], cfg)
+    return _report(name, CASE_NA, 0, leading, [("sqrt_p", sqrt_p), ("p", lin)], cfg)
 
 
 def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
     """Comparator with leading term 2 sigma_R sigma_C + sigma_C^2."""
     cfg = cfg or BoundConfig()
-    P = compute_params(B)
+    e, P = normalized_params(B)
     one_eps = 1 + cfg.epsilon
     ce = cfg.c_eps()
-    L = _log_term(B, cfg)
+    L = _log_term(min(B.n, B.d), cfg)
     leading = one_eps * (2 * P.sigma_R * P.sigma_C + P.sigma_C**2)
     sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_R * P.sigma_star) * math.sqrt(L)
     log_term = one_eps * ce**2 * P.sigma_star**2 * L
     return _report(
-        "chz_bound", CASE_NA, leading,
+        "chz_bound", CASE_NA, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
     )
 
@@ -234,16 +237,14 @@ def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport
 def free_probability_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
     """Comparator 2 sigma_inf + sigma_C^2 plus log^{3/4}(nd) and log^{3/2}(nd) terms."""
     cfg = cfg or BoundConfig()
-    P = compute_params(B)
-    L = math.log(B.n * B.d)
-    if cfg.log_floor == "floored":
-        L = max(L, 1.0)
+    e, P = normalized_params(B)
+    L = _log_term(B.n * B.d, cfg)
     leading = 2 * P.sigma_inf + P.sigma_C**2
     mix = math.sqrt(P.sigma_star) * (P.sigma_C**1.5 + P.sigma_R**1.5)
     log34 = cfg.C_universal * mix * L**0.75
     log32 = cfg.C_universal * (P.sigma_star * P.sigma_C + P.sigma_star * P.sigma_R) * L**1.5
     return _report(
-        "free_probability_bound", CASE_NA, leading,
+        "free_probability_bound", CASE_NA, e, leading,
         [("log34", log34), ("log32", log32)], cfg, _zero_warning(B),
     )
 
@@ -252,13 +253,13 @@ def lower_bound_schatten(B: VarianceProfile, p: int) -> BoundReport:
     """sigma_p + sigma_C^2 + sqrt(p) sigma_bar_p + p b_p^2, a lower bound up to
     an unspecified universal constant."""
     cfg = BoundConfig()
-    P = compute_params(B)
-    Q = compute_schatten_params(B, p)
+    e, P = normalized_params(B)
+    _, Q = normalized_schatten_params(B, p)
     leading = Q.sigma_p + P.sigma_C**2
     warnings = ["lower bound holds up to an unspecified universal constant"]
     warnings += _zero_warning(B)
     return _report(
-        "lower_bound_schatten", CASE_NA, leading,
+        "lower_bound_schatten", CASE_NA, e, leading,
         [("sqrt_p", math.sqrt(p) * Q.sigma_bar_p), ("schatten_tail", p * Q.b_p**2)],
         cfg, warnings,
     )
@@ -267,11 +268,11 @@ def lower_bound_schatten(B: VarianceProfile, p: int) -> BoundReport:
 def lower_bound_opnorm(B: VarianceProfile) -> BoundReport:
     """sigma_inf + sigma_C^2, a lower bound up to an unspecified constant."""
     cfg = BoundConfig()
-    P = compute_params(B)
+    e, P = normalized_params(B)
     warnings = ["lower bound holds up to an unspecified universal constant"]
     warnings += _zero_warning(B)
     return _report(
-        "lower_bound_opnorm", CASE_NA, P.sigma_inf + P.sigma_C**2, [], cfg, warnings,
+        "lower_bound_opnorm", CASE_NA, e, P.sigma_inf + P.sigma_C**2, [], cfg, warnings,
     )
 
 
@@ -286,7 +287,7 @@ def kl_comparator(B: VarianceProfile, n: int | None = None) -> BoundReport:
     cfg = BoundConfig()
     if n is None:
         n = B.n
-    P = compute_params(B)
+    e, P = normalized_params(B)
     rk = P.eff_rank
     total = P.sigma_R**2 * max(math.sqrt(n * rk), rk)
     warnings = [
@@ -294,5 +295,5 @@ def kl_comparator(B: VarianceProfile, n: int | None = None) -> BoundReport:
         "heuristic comparator for non-iid profiles",
     ]
     warnings += _zero_warning(B)
-    return _report("kl_comparator", CASE_NA, total, [], cfg, warnings)
+    return _report("kl_comparator", CASE_NA, e, total, [], cfg, warnings)
 

@@ -48,8 +48,8 @@ def _float_repr(x: float) -> str:
 def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON with 17-significant-digit floats and insertion-ordered keys.
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" (they can only
-    arise from the defensive beta conventions).
+    Non-finite floats become the strings "inf"/"-inf"/"nan" (from the beta
+    conventions, or a parameter or bound beyond the float64 range).
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -105,7 +105,7 @@ def _parse_vector(text: str) -> list:
 def _add_profile_args(sub):
     sub.add_argument("--profile", help="profile file (CSV, or JSON with a .json suffix)")
     sub.add_argument("--profile-format", choices=["csv", "json"], help="override format detection")
-    sub.add_argument("--family", choices=["constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio"])
+    sub.add_argument("--family", choices=list(_FAMILIES))
     sub.add_argument("--d", type=int, help="row count for --family")
     sub.add_argument("--n", type=int, help="column count for --family")
     sub.add_argument("--a", help="comma list, left vector for rank_one")
@@ -136,9 +136,13 @@ def _read_profile(args) -> tuple[VarianceProfile, bytes]:
     return load_profile(raw, format=fmt), raw
 
 
-# the family options (besides --d and --n) each --family reads
-_FAMILY_READS = {
-    "constant": (), "iid_columns": ("b",), "iid_rows": ("b",), "rank_one": ("a", "b"), "bounded_ratio": ("K",),
+# each --family: the options it reads besides --d and --n, and its family built from them
+_FAMILIES = {
+    "constant": ((), lambda args: ProfileFamily.constant()),
+    "iid_columns": (("b",), lambda args: ProfileFamily.iid_columns(_parse_vector(args.b))),
+    "iid_rows": (("b",), lambda args: ProfileFamily.iid_rows(_parse_vector(args.b))),
+    "rank_one": (("a", "b"), lambda args: ProfileFamily.rank_one(_parse_vector(args.a), _parse_vector(args.b))),
+    "bounded_ratio": (("K", "profile"), lambda args: ProfileFamily.bounded_ratio(args.K, _read_profile(args)[0])),
 }
 
 
@@ -147,33 +151,18 @@ def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
     if args.profile and not args.family:
         return _read_profile(args)
     if args.family:
-        if args.profile and args.family != "bounded_ratio":
+        reads, build = _FAMILIES[args.family]
+        if args.profile and "profile" not in reads:
             raise ValueError(f"--profile is only read as the base of --family bounded_ratio, not {args.family}")
-        reads = _FAMILY_READS[args.family]
         unread = [f"--{k}" for k in ("a", "b", "K") if getattr(args, k) is not None and k not in reads]
         if unread:
             raise ValueError(f"--family {args.family} does not read {', '.join(unread)}")
         if args.d is None or args.n is None:
             raise ValueError("--family requires --d and --n")
-        if args.family == "constant":
-            fam = ProfileFamily.constant()
-        elif args.family == "iid_columns":
-            if not args.b:
-                raise ValueError("iid_columns requires --b")
-            fam = ProfileFamily.iid_columns(_parse_vector(args.b))
-        elif args.family == "iid_rows":
-            if not args.b:
-                raise ValueError("iid_rows requires --b")
-            fam = ProfileFamily.iid_rows(_parse_vector(args.b))
-        elif args.family == "rank_one":
-            if not args.a or not args.b:
-                raise ValueError("rank_one requires --a and --b")
-            fam = ProfileFamily.rank_one(_parse_vector(args.a), _parse_vector(args.b))
-        else:  # bounded_ratio
-            if args.K is None or not args.profile:
-                raise ValueError("bounded_ratio requires --K and a base --profile")
-            fam = ProfileFamily.bounded_ratio(args.K, _read_profile(args)[0])
-        prof = generate(fam, args.d, args.n)
+        if any(getattr(args, k) in (None, "") for k in reads):
+            needs = " and ".join("a base --profile" if k == "profile" else f"--{k}" for k in reads)
+            raise ValueError(f"{args.family} requires {needs}")
+        prof = generate(build(args), args.d, args.n)
         return prof, prof.to_csv().encode()
     raise ValueError("a profile is required: --profile FILE or --family NAME --d D --n N")
 
@@ -300,9 +289,6 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
     return payload, raw, 0
 
 
-_EXAMPLE_FAMILIES = ("constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio")
-
-
 def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> VarianceProfile:
     if family == "constant":
         return generate(ProfileFamily.constant(), d, n)
@@ -319,7 +305,7 @@ def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> V
 
 
 def cmd_examples(args) -> tuple[dict, bytes, int]:
-    if args.family not in _EXAMPLE_FAMILIES:
+    if args.family not in _FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
     cfg = _bound_config(args)
     rng = np.random.default_rng(args.seed)

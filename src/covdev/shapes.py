@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import _mu, _numerators
-from .params import _once, compute_params, compute_schatten_params
+from .params import _once, normalized_params, normalized_schatten_params
 from .profile import ResourceLimitError, VarianceProfile, _float
 
 DEFAULT_SHAPE_CAP = 8
@@ -232,11 +232,16 @@ def W_value(s: Shape, B: VarianceProfile):
     float of the exact value.  Zero when the shape needs more labels than the
     profile has rows or columns.
     """
-    if s.m2 > B.d or s.m1 > B.n:
-        return Fraction(0) if B.exact else 0.0
-    total = sum(coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s).items())
-    w = Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * s.p))
+    w = _weight(s, B)
     return w if B.exact else _float(w)
+
+
+def _weight(s: Shape, B: VarianceProfile) -> Fraction:
+    """W(s) as an exact rational, for either kind of profile."""
+    if s.m2 > B.d or s.m1 > B.n:
+        return Fraction(0)
+    total = sum(coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s).items())
+    return Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * s.p))
 
 
 @lru_cache(maxsize=None)
@@ -412,38 +417,29 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
                                    n (sigma_inf/sigma_C)^{2(m1-1)} sigma_C^{2 m2} )
       beta_inf > 1 :  the ratio sigma_inf/sigma_C is replaced by sigma_tilde.
 
-    Profiles with sigma_* = 0 yield a not-applicable witness; sigma_* is
-    exact for an exact profile, while a float one's can underflow to 0.
+    The weight is W(s) / sigma_*^{2p}, divided exactly and rounded once, and
+    the parameters are those of 2^-e B (see params) divided by their sigma_*.
+    The zero profile yields a not-applicable witness.
     """
-    star, NP = _once(B, "normalized_params", _normalized_params)
+    e, P = normalized_params(B)
+    star = P.sigma_star
     if not star:
         return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
-    w_norm = float(W_value(s, B) / star ** (2 * s.p))  # exact division when the profile is exact
+    w_norm = _float(_weight(s, B) / (Fraction(star) * Fraction(2) ** e) ** (2 * s.p))
     m1, m2 = s.m1, s.m2
-    if NP.beta_inf <= 1:
+    if P.beta_inf <= 1:
         case = "beta_le_1"
-        a = NP.sigma_inf / NP.sigma_C if NP.sigma_C > 0 else 0.0
+        a = P.sigma_inf / P.sigma_C / star if P.sigma_C > 0 else 0.0
     else:
         case = "beta_gt_1"
-        a = NP.sigma_tilde_inf
-    c = NP.sigma_C
+        a = P.sigma_tilde_inf / star**2
+    c = P.sigma_C / star
     d_side = B.d * a ** (2 * m1) * c ** (2 * (m2 - 1))
     n_side = B.n * a ** (2 * (m1 - 1)) * c ** (2 * m2)
     return CeilingWitness(
         applicable=True, case=case, w_value=w_norm,
         ceiling=min(d_side, n_side), ceiling_d_side=d_side, ceiling_n_side=n_side,
     )
-
-
-def _normalized_params(B: VarianceProfile) -> tuple:
-    """(sigma_*, the parameters of B / sigma_*, or None when sigma_* is 0).
-    sigma_* is exact for an exact profile, so it is 0 only for the zero profile."""
-    if B.exact:
-        nums, den = B.integerized()
-        star = Fraction(max(map(max, nums)), den)
-    else:
-        star = compute_params(B).sigma_star
-    return star, compute_params(B.scaled(1 / star)) if star else None
 
 
 def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> CeilingWitness:
@@ -454,27 +450,28 @@ def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> Cei
       beta_p > 1 :  sigma_p/(sigma_* sigma_C) is replaced by sigma_bar_p/sigma_*^2.
 
     Requires sum_e k_e = 2 p_schatten (the shape and the Schatten order must
-    match).  The statement is scale-invariant, so no normalization is needed.
-    Only the zero profile passes trivially; a nonzero profile whose float
-    sigma_* underflows to 0 yields a not-applicable witness.
+    match).  Both sides are homogeneous of degree 2p, so the check runs on
+    2^-e B (see params), with W(s) / 2^{2pe} divided exactly and rounded once.
+    The powers of sigma_* are collected into sigma_*^{2k}; a shape of S has
+    m1 + m2 - 1 <= p, so k >= 0 in the first branch and a zero profile needs
+    no special case.
     """
     if sum(s.edge_mult.values()) != 2 * p_schatten:
         raise ValueError(
             f"shape traverses {sum(s.edge_mult.values())} edges, expected {2 * p_schatten}"
         )
-    if B.is_zero:
-        return CeilingWitness(applicable=True, case="beta_le_1", w_value=0.0, ceiling=0.0)
-    P = compute_params(B)
-    if P.sigma_star == 0:
-        return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
-    Q = compute_schatten_params(B, p_schatten)
+    e, P = normalized_params(B)
+    _, Q = normalized_schatten_params(B, p_schatten)
     star, c = P.sigma_star, P.sigma_C
     m1, m2 = s.m1, s.m2
     if Q.beta_p <= 1:
         case = "beta_le_1"
-        ratio = Q.sigma_p / (star * c) if c > 0 else 0.0
+        k = p_schatten - m1 - m2 + 1
+        base = Q.sigma_p / c if c > 0 else 0.0
     else:
         case = "beta_gt_1"
-        ratio = Q.sigma_bar_p / star**2
-    ceiling = B.d * star ** (2 * p_schatten) * ratio ** (2 * m1) * (c / star) ** (2 * (m2 - 1))
-    return CeilingWitness(applicable=True, case=case, w_value=float(W_value(s, B)), ceiling=ceiling)
+        k = p_schatten - 2 * m1 - m2 + 1
+        base = Q.sigma_bar_p
+    ceiling = B.d * star ** (2 * k) * base ** (2 * m1) * c ** (2 * (m2 - 1))
+    w_value = _float(_weight(s, B) / Fraction(2) ** (2 * p_schatten * e))
+    return CeilingWitness(applicable=True, case=case, w_value=w_value, ceiling=ceiling)

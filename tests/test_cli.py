@@ -105,6 +105,18 @@ class TestParamsCommand:
         assert unread in payload_of(out)["error"]["message"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family, extra, message", [
+        ("iid_columns", (), "iid_columns requires --b"),
+        ("iid_rows", ("--b", ""), "iid_rows requires --b"),
+        ("rank_one", ("--a", "1,2"), "rank_one requires --a and --b"),
+        ("bounded_ratio", ("--K", "2"), "bounded_ratio requires --K and a base --profile"),
+    ])
+    def test_family_option_missing_exit_2(self, capsys, family, extra, message):
+        status, out, err = run_cli(capsys, "params", "--family", family, "--d", "2", "--n", "2", *extra)
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "ValueError", "message": message}
+        assert "Traceback" not in err
+
     def test_envelope_fields(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "params", "--profile", profile_file)
         env = json.loads(out)
@@ -143,6 +155,31 @@ class TestBoundsCommand:
         for r in payload_of(out)["reports"]:
             assert r["total"] == 0
         assert any(r["warnings"] for r in payload_of(out)["reports"])
+
+
+class TestFloatRangeEdge:
+    @staticmethod
+    def _csv(tmp_path, name, v):
+        path = tmp_path / name
+        path.write_text(f"{v!r},{v!r}\n{v!r},{v / 2!r}\n")
+        return str(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_params_and_bounds_near_1e200(self, capsys, tmp_path):
+        runs = {}
+        for name, v in (("big", 1e200), ("unit", 1.0)):
+            for command in ("params", "bounds"):
+                status, out, err = run_cli(capsys, command, "--profile", self._csv(tmp_path, name, v), "--p", "2,6")
+                assert status == 0 and "Traceback" not in err and '"nan"' not in out
+                runs[command, name] = payload_of(out)
+        for command in ("params", "bounds"):
+            params = runs[command, "big"]["params"]
+            assert params["sigma_inf"] == "inf"  # about 1e400
+            assert params["beta_inf"] == runs[command, "unit"]["params"]["beta_inf"]
+        reports, unit_reports = runs["bounds", "big"]["reports"], runs["bounds", "unit"]["reports"]
+        assert all(r["total"] == "inf" for r in reports)
+        assert [r["case_taken"] for r in reports] == [r["case_taken"] for r in unit_reports]
+        assert reports[0]["case_taken"] == "beta_gt_1"
 
 
 class TestSimulateCommand:

@@ -414,13 +414,50 @@ class TestCeilingChecks:
         w = check_schatten_ceiling(s, Z, 2)
         assert w.w_value == 0.0 and w.ceiling == 0.0 and w.holds
 
-    def test_schatten_underflowing_profiles_not_applicable(self):
-        # W(s) > 0 exactly, but the float sigma_* underflows to 0: no trivial pass
-        s = enumerate_shapes(2)[0]
-        tiny = 10**200
+    @staticmethod
+    def _tiny_profiles(exponent: int):
+        """The 2x2 profile [[t, t], [t, 2t]] at t = 10^-exponent, exact and float."""
+        tiny = 10**exponent
         exact = load_profile(f"1/{tiny},1/{tiny}\n1/{tiny},2/{tiny}", format="csv")
-        floats = VarianceProfile([[1e-200, 1e-200], [1e-200, 2e-200]], exact=False)
-        assert W_value(s, exact) > 0
+        floats = VarianceProfile([[1 / tiny, 1 / tiny], [1 / tiny, 2 / tiny]], exact=False)
+        return exact, floats
+
+    def test_tiny_profiles_checked_by_both_ceilings(self):
+        # W(s) > 0 exactly, while float W and sigma_*^4 underflow at full scale
+        s = enumerate_shapes(2)[0]
+        exact, floats = self._tiny_profiles(100)
+        assert W_value(s, exact) > 0 and W_value(s, floats) == 0.0
         for B in (exact, floats):
+            for w in (check_opnorm_ceiling(s, B), check_schatten_ceiling(s, B, 2)):
+                assert w.applicable and w.w_value > 0 and w.ceiling > 0 and w.holds
+
+    @pytest.mark.parametrize("exponent", [310, 400])
+    def test_exact_profile_below_the_float_range_checked_by_both_ceilings(self, exponent):
+        # every float cell is subnormal or 0, so only the exact cells carry the profile
+        s = enumerate_shapes(2)[0]
+        exact, _ = self._tiny_profiles(exponent)
+        assert exact.as_array().max() < 2.0**-1022
+        for w in (check_opnorm_ceiling(s, exact), check_schatten_ceiling(s, exact, 2)):
+            assert w.applicable and w.w_value > 0 and w.ceiling > 0 and w.holds
+
+    def test_schatten_underflowing_profiles_applicable(self):
+        # W(s) > 0 exactly, and the squares of the cells underflow at full scale
+        s = enumerate_shapes(2)[0]
+        for B in self._tiny_profiles(200):
             w = check_schatten_ceiling(s, B, 2)
-            assert not w.applicable and w.case == "not_applicable" and w.holds
+            assert w.applicable and w.w_value > 0 and w.ceiling > 0 and w.holds
+
+    def test_ceilings_do_not_move_with_the_scale(self):
+        # the opnorm witness is taken at sigma_* = 1; the Schatten one on 2^-e B
+        # with e even, so under an odd power of two both of its sides move by 2^(2p)
+        rng = np.random.default_rng(12)
+        B = float_profile(rng, 3, 3)
+        for p in (2, 3, 4):
+            for s in enumerate_shapes(p):
+                for k in (-400, -3, 5, 400):
+                    Bk = B.scaled(2.0**k)
+                    assert check_opnorm_ceiling(s, Bk) == check_opnorm_ceiling(s, B), (p, s, k)
+                    if p % 2 == 0:
+                        w, base = check_schatten_ceiling(s, Bk, p), check_schatten_ceiling(s, B, p)
+                        assert w.case == base.case and w.holds and base.holds
+                        assert math.isclose(w.w_value / w.ceiling, base.w_value / base.ceiling, rel_tol=1e-12)

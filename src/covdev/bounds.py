@@ -49,8 +49,8 @@ class BoundConfig:
     def __post_init__(self):
         if not (0 < self.epsilon <= 0.5):
             raise ValueError(f"epsilon must be in (0, 1/2], got {self.epsilon}")
-        if self.C_universal <= 0 or self.C_prime <= 0:
-            raise ValueError("universal constants must be positive")
+        if not all(0 < c < math.inf for c in (self.C_universal, self.C_prime)):  # rejects NaN too
+            raise ValueError("universal constants must be positive and finite")
         if self.log_floor not in ("literal", "floored"):
             raise ValueError(f"log_floor must be 'literal' or 'floored', got {self.log_floor!r}")
 

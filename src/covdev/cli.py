@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON report envelope on stdout; diagnostics go
 to stderr.  Exit status: 0 success, 1 verification failure, 2 input or
-resource error (including an eigensolver failure or running out of memory).
+resource error (including a command line the parser rejects, an eigensolver
+failure or running out of memory), always with a JSON error envelope.
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
 envelope timestamp is the only varying field).
@@ -416,8 +417,24 @@ def cmd_compare(args) -> tuple[dict, bytes, int]:
 # --- parser ----------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects; `command` is the subcommand it named, if any."""
+
+    def __init__(self, message: str, command: str | None):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit, so main can print the envelope."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message, self.get_default("command"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covdev",
         description="Deviation bounds for Gaussian sample covariance with a variance profile.",
     )
@@ -480,6 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--samples", type=int, default=200)
     sc.set_defaults(fn=cmd_compare)
 
+    for name, sub in subs.choices.items():  # read back by _Parser.error
+        sub.set_defaults(command=name)
     return parser
 
 
@@ -494,15 +513,18 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command = None
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        command = args.command
+        if unread:
+            raise UsageError(f"unrecognized arguments: {' '.join(unread)}", command)
         payload, raw, status = args.fn(args)
     except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if getattr(exc, "line", None) is not None:
             err["error"]["line"] = exc.line
-        print(dumps_canonical(_envelope(args.command, err, None)))
+        print(dumps_canonical(_envelope(getattr(exc, "command", command), err, None)))
         print(f"covdev: {exc}", file=sys.stderr)
         return 2
     print(dumps_canonical(_envelope(args.command, payload, raw)))

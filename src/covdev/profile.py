@@ -133,18 +133,26 @@ class VarianceProfile:
             return VarianceProfile._of(self._matrix.astype(object) * t.numerator, self._den * t.denominator)
         return VarianceProfile._of(self._values * float(t), None)
 
-    def _cells(self) -> list[list]:
-        """Cells for serialization: floats, or ints and "p/q" strings in lowest terms."""
-        if self._den in (None, 1):
-            return self._matrix.tolist()
-        return [[_ratio(x, self._den) for x in row] for row in self._matrix.tolist()]
+    def _cells(self, row: np.ndarray) -> list:
+        """One row's cells for serialization: floats, or ints and "p/q" strings in lowest terms."""
+        cells = row.tolist()
+        return cells if self._den in (None, 1) else [_ratio(x, self._den) for x in cells]
 
     def to_csv(self) -> str:
+        """One line per row.  Equal rows are rendered once, keyed by their bytes:
+        the values of an int64 or float64 row (so -0.0 keys apart from 0.0), the
+        element pointers of an object row, which stay fixed during the call."""
         fmt = repr if not self.exact else str
-        return "".join(",".join(map(fmt, row)) + "\n" for row in self._cells())
+        lines: dict[bytes, str] = {}
+        out = []
+        for row in self._matrix:
+            if (key := row.tobytes()) not in lines:
+                lines[key] = ",".join(map(fmt, self._cells(row))) + "\n"
+            out.append(lines[key])
+        return "".join(out)
 
     def to_json_obj(self) -> dict:
-        return {"d": self.d, "n": self.n, "entries": self._cells()}
+        return {"d": self.d, "n": self.n, "entries": [self._cells(row) for row in self._matrix]}
 
 
 def _ratio(num: int, den: int):
@@ -318,7 +326,7 @@ class ProfileFamily:
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "bounded_ratio" and (self.ratio_cap is None or self.ratio_cap < 1):
+        if self.kind == "bounded_ratio" and (self.ratio_cap is None or not self.ratio_cap >= 1):  # NaN too
             raise ValueError("bounded_ratio requires K >= 1")
 
     @staticmethod

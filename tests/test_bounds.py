@@ -283,6 +283,12 @@ class TestBoundConfig:
             BoundConfig(epsilon=0.6)
         BoundConfig(epsilon=0.5)
 
+    @pytest.mark.parametrize("field", ["C_universal", "C_prime"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_constants_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="universal constants must be positive"):
+            BoundConfig(**{field: value})
+
     def test_c_eps_formula(self):
         cfg = BoundConfig(epsilon=0.25, C_universal=2.0)
         assert close(cfg.c_eps(), 2.0 * 1.25 / math.sqrt(math.log(1.25)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import threading
@@ -125,7 +126,40 @@ class TestParamsCommand:
         assert env["tool_version"]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["examples", "--family", "constant", "--grid", "10"],
+        ["params", "--family", "constant", "--d", "2", "--n", "2", "--p", "x"],
+        ["bounds", "--family", "constant", "--d", "abc", "--n", "2"],
+        ["bounds", "--family", "constant", "--d", "2", "--n", "2", "--no-such-option"],
+    ])
+    def test_rejected_arguments_exit_2_with_envelope(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        env = json.loads(out)
+        assert env["command"] == argv[0]
+        assert env["payload"]["error"]["type"] == "UsageError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"]])
+    def test_no_subcommand_has_null_command(self, capsys, argv):
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 2
+        assert json.loads(out)["command"] is None
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bounds", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestBoundsCommand:
+    def test_family_digest_hashes_the_csv_text(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--family", "constant", "--d", "7", "--n", "5")
+        assert json.loads(out)["profile_digest"] == hashlib.sha256(b"1,1,1,1,1\n" * 7).hexdigest()
+
     def test_iid_rows_case_and_leading(self, capsys):
         status, out, _ = run_cli(
             capsys, "bounds", "--family", "iid_rows", "--d", "4", "--n", "2", "--b", "1,2"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,22 @@ from covdev import (
     load_profile,
 )
 
-from conftest import rational_profile
+from conftest import float_profile, rational_profile
+
+
+def reference_csv(B: VarianceProfile) -> str:
+    """The per-cell renderer that `to_csv` replaced: every cell of every row
+    formatted, repr for floats, str for ints and "p/q" cells in lowest terms."""
+
+    def ratio(num, den):
+        g = math.gcd(num, den)
+        return num // g if g == den else f"{num // g}/{den // g}"
+
+    cells = B._matrix.tolist()
+    if B._den not in (None, 1):
+        cells = [[ratio(x, B._den) for x in row] for row in cells]
+    fmt = repr if not B.exact else str
+    return "".join(",".join(map(fmt, row)) + "\n" for row in cells)
 
 
 class TestLoadCsv:
@@ -97,6 +113,42 @@ class TestRoundTrip:
             assert again == B
             assert again.to_csv() == B.to_csv()
 
+    def test_csv_matches_per_cell_reference(self):
+        rng = np.random.default_rng(23)
+        a, b = rng.uniform(0.5, 1.5, size=6), rng.uniform(0.5, 1.5, size=4)
+        ia, ib = [Fraction(int(x), 3) for x in rng.integers(0, 5, size=6)], [int(x) for x in rng.integers(1, 4, size=4)]
+        big = 2**70 + 1
+        shared = VarianceProfile._of(np.array([[big, 3], [big, 3], [big, 3]], dtype=object), 1)
+        # equal values in distinct int objects: each row keys apart and renders alike
+        apart = VarianceProfile._of(np.array([[int(str(big)), int(str(big))] for _ in range(3)], dtype=object), 1)
+        assert shared._matrix[0, 0] is shared._matrix[1, 0] and apart._matrix[0, 0] is not apart._matrix[1, 0]
+        signed = generate(ProfileFamily.rank_one([0.0, -0.0, 1.5, -0.0, 0.0], b), 5, 4)
+        profiles = [
+            generate(ProfileFamily.constant(), 6, 4),
+            generate(ProfileFamily.iid_rows([1.0] * 4), 6, 4),  # constant, float form
+            generate(ProfileFamily.iid_rows(ib), 6, 4),
+            generate(ProfileFamily.iid_rows(b), 6, 4),
+            generate(ProfileFamily.iid_columns(ia), 6, 4),
+            generate(ProfileFamily.iid_columns(a), 6, 4),
+            generate(ProfileFamily.rank_one(ia, ib), 6, 4),
+            generate(ProfileFamily.rank_one(a, b), 6, 4),
+            generate(ProfileFamily.bounded_ratio(1.2, float_profile(rng, 6, 4)), 6, 4),
+            float_profile(rng, 20, 30),
+            load_profile("1/2,3,7/5\n1/2,3,7/5\n0,2/3,4\n", format="csv"),
+            rational_profile(rng, 7, 5, max_num=3, max_den=3),
+            TestExactArithmeticSafety().big_profile(),
+            shared,
+            apart,
+            signed,
+            generate(ProfileFamily.rank_one([1.5], b), 1, 4),
+            generate(ProfileFamily.iid_columns(ia), 6, 1),
+            generate(ProfileFamily.constant(), 1, 1),
+        ]
+        assert shared._matrix.dtype == apart._matrix.dtype == object
+        assert signed.to_csv().splitlines()[1].split(",") == ["-0.0"] * 4
+        for B in profiles:
+            assert B.to_csv() == reference_csv(B)
+
     def test_json_round_trip(self):
         import json
 
@@ -175,8 +227,11 @@ class TestBoundedRatio:
         assert arr[0, 1] == 0.0
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            ProfileFamily.bounded_ratio(0.5, generate(ProfileFamily.constant(), 2, 2))
+        base = generate(ProfileFamily.constant(), 2, 2)
+        for K in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                ProfileFamily.bounded_ratio(K, base)
+        assert generate(ProfileFamily.bounded_ratio(float("inf"), base), 2, 2) is base
 
 
 class TestProfileObject:

@@ -19,15 +19,11 @@ from .bounds import (
     lower_bound_schatten,
     main_upper_bound,
     schatten_upper_bound,
-    standard_gaussian_bound,
 )
 from .montecarlo import (
     MomentEstimate,
     SimConfig,
     estimate_deviation,
-    estimate_opnorm_deviation,
-    estimate_schatten_trace,
-    sample_stream,
     tightness_report,
 )
 from .oracle import (
@@ -41,7 +37,6 @@ from .oracle import (
 from .params import (
     ProfileParams,
     SchattenParams,
-    closed_form_params,
     compute_params,
     compute_schatten_params,
 )
@@ -57,14 +52,11 @@ from .profile import (
 from .shapes import (
     CeilingWitness,
     Shape,
-    ShapeGraph,
     L_value,
     W_value,
     check_opnorm_ceiling,
     check_schatten_ceiling,
     enumerate_shapes,
-    shape_of,
-    spanning_tree,
     trace_moment_via_shapes,
 )
 
@@ -72,15 +64,15 @@ __all__ = [
     "__version__",
     "VarianceProfile", "ProfileFamily", "load_profile", "generate",
     "ProfileFormatError", "ProfileDomainError", "ResourceLimitError",
-    "ProfileParams", "SchattenParams", "compute_params", "compute_schatten_params", "closed_form_params",
+    "ProfileParams", "SchattenParams", "compute_params", "compute_schatten_params",
     "BoundConfig", "BoundReport", "main_upper_bound", "schatten_upper_bound", "diagonal_bound",
-    "standard_gaussian_bound", "chz_bound", "free_probability_bound",
+    "chz_bound", "free_probability_bound",
     "lower_bound_schatten", "lower_bound_opnorm", "kl_comparator",
-    "Shape", "ShapeGraph", "CeilingWitness", "shape_of", "enumerate_shapes",
-    "L_value", "W_value", "trace_moment_via_shapes", "spanning_tree",
+    "Shape", "CeilingWitness", "enumerate_shapes",
+    "L_value", "W_value", "trace_moment_via_shapes",
     "check_opnorm_ceiling", "check_schatten_ceiling",
     "ExactMoment", "joint_moment", "joint_moment_table",
     "offdiag_trace_moment", "diag_trace_moment", "full_trace_moment",
-    "SimConfig", "MomentEstimate", "sample_stream",
-    "estimate_deviation", "estimate_opnorm_deviation", "estimate_schatten_trace", "tightness_report",
+    "SimConfig", "MomentEstimate",
+    "estimate_deviation", "tightness_report",
 ]

@@ -9,7 +9,6 @@ every report.  Term labels are stable identifiers:
     "sqrt_log"       coefficient of sqrt(log(n ^ d))
     "log"            coefficient of log(n ^ d)
     "sqrt_p"         coefficient of sqrt(p)
-    "p"              linear-in-p term with plain constants
     "schatten_tail"  the p * b_p^2 tail
     "log34", "log32" the log^{3/4}(nd) and log^{3/2}(nd) terms
 
@@ -199,25 +198,6 @@ def diagonal_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -
     return _report("diagonal_bound", CASE_NA, e, leading, [("schatten_tail", tail)], cfg, warnings)
 
 
-def standard_gaussian_bound(
-    d: int, n: int, p: float, off_diagonal: bool = False, cfg: BoundConfig | None = None
-) -> BoundReport:
-    """Moment bound for the all-ones profile (i.i.d. standard Gaussian matrix).
-
-    full:          2 sqrt(dn) + d + 4 sqrt(p)(sqrt(d)+sqrt(n)) + 2p
-    off_diagonal:  2 sqrt(dn) + d + C sqrt(p)(sqrt(d)+sqrt(n)) + C'p
-    """
-    cfg = cfg or BoundConfig()
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    leading = 2 * math.sqrt(d * n) + d
-    c1, c2 = (cfg.C_universal, cfg.C_prime) if off_diagonal else (4.0, 2.0)
-    sqrt_p = c1 * math.sqrt(p) * (math.sqrt(d) + math.sqrt(n))
-    lin = c2 * p
-    name = "standard_gaussian_offdiag_bound" if off_diagonal else "standard_gaussian_bound"
-    return _report(name, CASE_NA, 0, leading, [("sqrt_p", sqrt_p), ("p", lin)], cfg)
-
-
 def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
     """Comparator with leading term 2 sigma_R sigma_C + sigma_C^2."""
     cfg = cfg or BoundConfig()
@@ -276,7 +256,7 @@ def lower_bound_opnorm(B: VarianceProfile) -> BoundReport:
     )
 
 
-def kl_comparator(B: VarianceProfile, n: int | None = None) -> BoundReport:
+def kl_comparator(B: VarianceProfile) -> BoundReport:
     """Effective-rank benchmark ||Sigma|| * max(sqrt(n rk), rk) with
     Sigma = sum_j E X_j X_j^T (diagonal here) and rk = tr(Sigma)/||Sigma||.
 
@@ -285,11 +265,9 @@ def kl_comparator(B: VarianceProfile, n: int | None = None) -> BoundReport:
     is a heuristic comparison point, not a proved bound.
     """
     cfg = BoundConfig()
-    if n is None:
-        n = B.n
     e, P = normalized_params(B)
     rk = P.eff_rank
-    total = P.sigma_R**2 * max(math.sqrt(n * rk), rk)
+    total = P.sigma_R**2 * max(math.sqrt(B.n * rk), rk)
     warnings = [
         "pair (sqrt(n rk), rk) interpreted as a maximum",
         "heuristic comparator for non-iid profiles",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,13 +71,9 @@ class MomentEstimate:
         return out
 
 
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent per-sample stream: Philox keyed by seed, index in the counter."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
-
-
 def _restartable_stream(seed: int):
-    """index -> sample_stream(seed, index), made by re-keying one generator."""
+    """index -> the per-sample stream Philox(key=seed, counter=[0, 0, index, 0]),
+    made by re-keying one generator."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = rng.bit_generator.state  # counter 0 and an empty buffer: buffer_pos 4, has_uint32 0
 
@@ -177,22 +173,12 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
     return out
 
 
-def estimate_opnorm_deviation(B: VarianceProfile, cfg: SimConfig) -> MomentEstimate:
-    """Mean and standard error of ||X X^T - E X X^T|| over cfg.samples draws."""
-    return estimate_deviation(B, replace(cfg, p_list=()))[0]
-
-
-def estimate_schatten_trace(B: VarianceProfile, p: int, cfg: SimConfig) -> MomentEstimate:
-    """Mean of Tr(M^p) over samples, M the deviation matrix; see estimate_deviation."""
-    return estimate_deviation(B, replace(cfg, p_list=(p,)))[1]
-
-
 def tightness_report(B: VarianceProfile, cfg: SimConfig, bcfg: BoundConfig | None = None) -> dict:
     """Empirical deviation norm next to the lower bound and the three upper
     bounds, with the sandwich ratios.  Ratios are None when a denominator
     vanishes (all-zero profile)."""
     bcfg = bcfg or BoundConfig()
-    est = estimate_opnorm_deviation(B, cfg)
+    est = estimate_deviation(B, cfg)[0]
     lower, upper = lower_bound_opnorm(B), main_upper_bound(B, bcfg)
     bounds = {"lower_bound_opnorm": lower, "main_upper_bound": upper,
               "chz_bound": chz_bound(B, bcfg), "free_probability_bound": free_probability_bound(B, bcfg)}

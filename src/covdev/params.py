@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .profile import ProfileFamily, VarianceProfile
+from .profile import VarianceProfile
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,9 @@ class ProfileParams:
     sigma_inf: float
     beta_inf: float  # extended real, may be math.inf
     eff_rank: float
-    # names of fields that are upper-bound expressions rather than equalities
-    # (only populated by closed_form_params; beta entries derived from upper
-    # bounds are indicative, not bounds in either direction)
-    upper_bound_fields: frozenset = field(default_factory=frozenset)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "upper_bound_fields"}
-        if self.upper_bound_fields:
-            out["upper_bound_fields"] = sorted(self.upper_bound_fields)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -214,84 +207,3 @@ def _schatten_params(B: VarianceProfile, p: int) -> tuple[int, SchattenParams]:
         b_p=b_p, beta_p=_beta(sigma_bar_p * sigma_C, sigma_p * b_p),
     )
 
-
-def _norms(vec) -> tuple[float, float, float]:
-    """(l2, l4^2, linf) of a nonnegative vector."""
-    v = np.asarray([float(x) for x in vec])
-    return float(np.sqrt(np.sum(v**2))), float(np.sqrt(np.sum(v**4))), float(v.max()) if v.size else 0.0
-
-
-def closed_form_params(family: ProfileFamily, d: int, n: int) -> ProfileParams:
-    """Closed-form parameters for the structured families.
-
-    Exact for `constant` and `iid_rows`.  For `iid_columns` and `rank_one`
-    the sigma_tilde_inf and sigma_inf entries are the known upper-bound
-    expressions and are listed in `upper_bound_fields` (with beta_inf, which
-    is derived from them).  `bounded_ratio` and `explicit` have no closed
-    form and raise ValueError.
-    """
-    kind = family.kind
-    if kind == "constant":
-        s_inf = math.sqrt(n * (d - 1))
-        return ProfileParams(
-            sigma_C=math.sqrt(d),
-            sigma_R=math.sqrt(n),
-            sigma_star=1.0,
-            sigma_tilde_inf=math.sqrt(n) if d >= 2 else 0.0,
-            sigma_bar_inf=math.sqrt(n),
-            sigma_inf=s_inf,
-            beta_inf=_beta((math.sqrt(n) if d >= 2 else 0.0) * math.sqrt(d), s_inf),
-            eff_rank=float(d),
-        )
-    if kind == "iid_columns":
-        if family.b is None or len(family.b) != d:
-            raise ValueError(f"iid_columns needs a length-{d} vector")
-        l2, l4sq, linf = _norms(family.b)
-        tilde_ub = math.sqrt(n) * linf**2 if d >= 2 else 0.0
-        inf_ub = math.sqrt(n) * linf * l2 if d >= 2 else 0.0
-        return ProfileParams(
-            sigma_C=l2,
-            sigma_R=math.sqrt(n) * linf,
-            sigma_star=linf,
-            sigma_tilde_inf=tilde_ub,
-            sigma_bar_inf=math.sqrt(n) * linf**2,
-            sigma_inf=inf_ub,
-            beta_inf=_beta(tilde_ub * l2, inf_ub * linf),
-            eff_rank=(l2 / linf) ** 2 if linf > 0 else 0.0,
-            upper_bound_fields=frozenset({"sigma_tilde_inf", "sigma_inf", "beta_inf"}),
-        )
-    if kind == "iid_rows":
-        if family.b is None or len(family.b) != n:
-            raise ValueError(f"iid_rows needs a length-{n} vector")
-        l2, l4sq, linf = _norms(family.b)
-        tilde = l4sq if d >= 2 else 0.0
-        s_inf = math.sqrt(d - 1) * l4sq
-        return ProfileParams(
-            sigma_C=math.sqrt(d) * linf,
-            sigma_R=l2,
-            sigma_star=linf,
-            sigma_tilde_inf=tilde,
-            sigma_bar_inf=l4sq,
-            sigma_inf=s_inf,
-            beta_inf=_beta(tilde * math.sqrt(d) * linf, s_inf * linf),
-            eff_rank=float(d) if l2 > 0 else 0.0,
-        )
-    if kind == "rank_one":
-        if family.a is None or len(family.a) != d or family.b is None or len(family.b) != n:
-            raise ValueError(f"rank_one needs vectors of lengths {d} and {n}")
-        a2, a4sq, ainf = _norms(family.a)
-        b2, b4sq, binf = _norms(family.b)
-        tilde_ub = b4sq * ainf**2 if d >= 2 else 0.0
-        inf_ub = b4sq * a2 * ainf if d >= 2 else 0.0
-        return ProfileParams(
-            sigma_C=a2 * binf,
-            sigma_R=ainf * b2,
-            sigma_star=ainf * binf,
-            sigma_tilde_inf=tilde_ub,
-            sigma_bar_inf=b4sq * ainf**2,
-            sigma_inf=inf_ub,
-            beta_inf=_beta(tilde_ub * a2 * binf, inf_ub * ainf * binf),
-            eff_rank=(a2 / ainf) ** 2 if ainf > 0 and b2 > 0 else 0.0,
-            upper_bound_fields=frozenset({"sigma_tilde_inf", "sigma_inf", "beta_inf"}),
-        )
-    raise ValueError(f"no closed-form parameters for family kind {kind!r}")

@@ -78,7 +78,8 @@ class VarianceProfile:
         for a in (nums, values):
             a.setflags(write=False)
         # _matrix: the numerators over _den when exact, else the float values;
-        # _memo: per-profile cache of derived quantities, filled by the params module
+        # _memo: per-profile cache of derived quantities, filled through params._once
+        # (by the params, oracle and shapes modules)
         self.__dict__.update(d=values.shape[0], n=values.shape[-1], exact=den is not None,
                              _matrix=nums, _den=den, _values=values, _memo={})
         self.__post_init__()
@@ -97,13 +98,6 @@ class VarianceProfile:
         if not isinstance(other, VarianceProfile):
             return NotImplemented
         return (self.exact, self._den) == (other.exact, other._den) and np.array_equal(self._matrix, other._matrix)
-
-    @property
-    def entries(self) -> tuple[tuple[Entry, ...], ...]:
-        """The cells as Python objects: Fractions when exact, floats otherwise."""
-        if self.exact:
-            return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._matrix.tolist())
-        return tuple(map(tuple, self._values.tolist()))
 
     def as_array(self) -> np.ndarray:
         """Read-only float64 view of the entries."""
@@ -124,15 +118,6 @@ class VarianceProfile:
             raise ValueError("integerized() requires an exact profile")
         return self._matrix.tolist(), self._den
 
-    def scaled(self, t) -> "VarianceProfile":
-        """Profile with every entry multiplied by t > 0."""
-        if t < 0:
-            raise ProfileDomainError("scale factor must be nonnegative")
-        if self.exact and isinstance(t, (int, Fraction)):
-            t = Fraction(t)
-            return VarianceProfile._of(self._matrix.astype(object) * t.numerator, self._den * t.denominator)
-        return VarianceProfile._of(self._values * float(t), None)
-
     def _cells(self, row: np.ndarray) -> list:
         """One row's cells for serialization: floats, or ints and "p/q" strings in lowest terms."""
         cells = row.tolist()
@@ -150,9 +135,6 @@ class VarianceProfile:
                 lines[key] = ",".join(map(fmt, self._cells(row))) + "\n"
             out.append(lines[key])
         return "".join(out)
-
-    def to_json_obj(self) -> dict:
-        return {"d": self.d, "n": self.n, "entries": [self._cells(row) for row in self._matrix]}
 
 
 def _ratio(num: int, den: int):
@@ -294,7 +276,7 @@ def load_profile(source: Union[bytes, str, IO], format: str = "csv") -> Variance
 
 # --- structured families -------------------------------------------------
 
-_FAMILY_KINDS = ("constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio", "explicit")
+_FAMILY_KINDS = ("constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio")
 
 
 def _as_entry_vector(vec: Sequence) -> tuple[Entry, ...]:
@@ -314,7 +296,6 @@ class ProfileFamily:
     rank_one       b_ij = a_i * b_j
     bounded_ratio  columns of a base profile rescaled so their Euclidean
                    norms lie within a factor K of each other
-    explicit       a verbatim profile
     """
 
     kind: str
@@ -348,10 +329,6 @@ class ProfileFamily:
     @staticmethod
     def bounded_ratio(ratio_cap: float, base: VarianceProfile) -> "ProfileFamily":
         return ProfileFamily("bounded_ratio", ratio_cap=float(ratio_cap), base=base)
-
-    @staticmethod
-    def explicit(profile: VarianceProfile) -> "ProfileFamily":
-        return ProfileFamily("explicit", base=profile)
 
 
 def _outer(a: tuple[Entry, ...], b: tuple[Entry, ...]) -> VarianceProfile:
@@ -387,10 +364,6 @@ def generate(family: ProfileFamily, d: int, n: int) -> VarianceProfile:
         return _outer(family.a, family.b)
     if kind == "bounded_ratio":
         return _generate_bounded_ratio(family, d, n)
-    if kind == "explicit":
-        if family.base is None or family.base.d != d or family.base.n != n:
-            raise ValueError("explicit family needs a base profile of matching dimensions")
-        return family.base
     raise ValueError(f"unknown family kind {kind!r}")
 
 

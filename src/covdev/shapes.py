@@ -25,10 +25,13 @@ and hom sums prod_e N^{k_e} over all maps of its blocks into rows and
 columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  The
 (pi, sigma) sum folds into a per-shape table of integer coefficients over
 distinct quotients; each hom is one einsum over integer power matrices,
-computed once per profile.  A float profile runs the same integer engine on
-the exact values of its float64 cells (D is a power of two), so its W is the
-correctly rounded exact value, and is exactly invariant under row and column
-permutations.
+computed once per profile.  The einsum is asked for dtype=object: on a
+profile with one row or one column its optimised path multiplies fully
+reduced operands, which numpy otherwise multiplies as int64 when both fit,
+so the product wraps mod 2^64.  A float profile runs the same integer engine
+on the exact values of its float64 cells (D is a power of two), so its W is
+the correctly rounded exact value, and is exactly invariant under row and
+column permutations.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -86,61 +88,6 @@ class Shape:
             for e in ((u[k], v[k]), (u[(k + 1) % p], v[k])):
                 mult[e] = mult.get(e, 0) + 1
         return mult
-
-    @property
-    def is_canonical(self) -> bool:
-        return _is_restricted_growth(self.left_seq) and _is_restricted_growth(self.right_seq)
-
-    @property
-    def has_distinct_consecutive_left(self) -> bool:
-        u, p = self.left_seq, self.p
-        return all(u[k] != u[(k + 1) % p] for k in range(p))
-
-    @property
-    def is_even(self) -> bool:
-        """Every edge traversed at least twice."""
-        return all(k >= 2 for k in self.edge_mult.values())
-
-    @property
-    def in_shape_set(self) -> bool:
-        """Membership in S: even plus the cyclic left-distinctness constraint."""
-        return self.is_even and self.has_distinct_consecutive_left
-
-    @property
-    def two_left_neighbors_per_right(self) -> bool:
-        """Every right label touches at least two distinct left labels."""
-        neighbors: dict[int, set[int]] = {}
-        for (i, j) in self.edge_mult:
-            neighbors.setdefault(j, set()).add(i)
-        return all(len(s) >= 2 for s in neighbors.values())
-
-
-def _is_restricted_growth(seq: Sequence[int]) -> bool:
-    top = 0
-    for x in seq:
-        if x > top + 1 or x < 1:
-            return False
-        top = max(top, x)
-    return True
-
-
-def shape_of(left: Sequence[int], right: Sequence[int]) -> Shape:
-    """Canonical relabeling of a path: each side renumbered by first appearance.
-
-    Idempotent on canonical shapes.
-    """
-    if len(left) != len(right):
-        raise ValueError(f"sequence lengths differ: {len(left)} vs {len(right)}")
-    out = []
-    for seq in (left, right):
-        seen: dict[int, int] = {}
-        canon = []
-        for x in seq:
-            if x not in seen:
-                seen[x] = len(seen) + 1
-            canon.append(seen[x])
-        out.append(tuple(canon))
-    return Shape(out[0], out[1])
 
 
 def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
@@ -282,7 +229,8 @@ def _hom(B: VarianceProfile, quotient: tuple) -> int:
     left = 1 + max(a for (a, _), _ in quotient)
     letters = string.ascii_letters
     subscripts = ",".join(letters[a] + letters[left + b] for (a, b), _ in quotient)
-    return int(np.einsum(subscripts + "->", *(_once(B, ("power", k), _power, k) for _, k in quotient), optimize=True))
+    powers = (_once(B, ("power", k), _power, k) for _, k in quotient)
+    return int(np.einsum(subscripts + "->", *powers, optimize=True, dtype=object))
 
 
 def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE_CAP):
@@ -302,91 +250,6 @@ def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE
             continue
         total += ell * W_value(s, B)
     return total
-
-
-@dataclass(frozen=True)
-class ShapeGraph:
-    """The bipartite multigraph of a shape plus an optional spanning tree."""
-
-    left_count: int
-    right_count: int
-    edges: tuple[tuple[tuple[int, int], int], ...]  # ((left, right), multiplicity)
-    tree_edges: tuple[tuple[int, int], ...] | None = None
-
-    def tree_is_spanning(self) -> bool:
-        if self.tree_edges is None:
-            return False
-        if len(self.tree_edges) != self.left_count + self.right_count - 1:
-            return False
-        # union-find over left vertices 0..m2-1 and right vertices m2..m2+m1-1
-        parent = list(range(self.left_count + self.right_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j) in self.tree_edges:
-            a, b = find(i - 1), find(self.left_count + j - 1)
-            if a == b:
-                return False  # cycle
-            parent[a] = b
-        roots = {find(x) for x in range(self.left_count + self.right_count)}
-        return len(roots) == 1
-
-
-def spanning_tree(s: Shape, root_side: str = "left") -> ShapeGraph:
-    """First-arrival spanning tree of the shape graph.
-
-    Rooted on the left, the walk is u_1 -> v_1 -> u_2 -> ... -> v_p -> u_1:
-    left label k (k >= 2) is entered along (u_{i1(k)}, v_{i1(k)-1}) where
-    i1(k) is its first index, and right label k along (u_{i2(k)}, v_{i2(k)}).
-    Rooted on the right the walk is v_1 -> u_2 -> ... -> v_p -> u_1, so
-    arrival indices are taken along that order: the root-side left label
-    (always label 1) is entered at its first reappearance after the start,
-    or along the closing edge (u_1, v_p) if it never reappears.  Either way
-    the m1 + m2 - 1 edges form a spanning tree, which is asserted.
-    """
-    if root_side not in ("left", "right"):
-        raise ValueError(f"root_side must be 'left' or 'right', got {root_side!r}")
-    u, v, p = s.left_seq, s.right_seq, s.p
-    m1, m2 = s.m1, s.m2
-
-    def first_left(k, start):
-        return next((l for l in range(start, p) if u[l] == k), None)
-
-    def first_right(k, start):
-        return next(l for l in range(start, p) if v[l] == k)
-
-    tree: list[tuple[int, int]] = []
-    if root_side == "left":
-        for k in range(2, m2 + 1):
-            i1 = first_left(k, 1)
-            tree.append((u[i1], v[i1 - 1]))
-        for k in range(1, m1 + 1):
-            i2 = first_right(k, 0)
-            tree.append((u[i2], v[i2]))
-    else:
-        for k in range(1, m2 + 1):
-            i1 = first_left(k, 1)  # walk order: u_2 is the first left vertex seen
-            if i1 is None:
-                tree.append((u[0], v[p - 1]))  # label 1 only at the start: closing edge
-            else:
-                tree.append((u[i1], v[i1 - 1]))
-        for k in range(2, m1 + 1):
-            i2 = first_right(k, 1)
-            tree.append((u[i2], v[i2]))
-
-    graph = ShapeGraph(
-        left_count=m2,
-        right_count=m1,
-        edges=tuple(sorted(s.edge_mult.items())),
-        tree_edges=tuple(tree),
-    )
-    assert len(set(tree)) == m1 + m2 - 1, "first-arrival edges are not distinct"
-    assert graph.tree_is_spanning(), "first-arrival edges do not span"
-    return graph
 
 
 @dataclass(frozen=True)

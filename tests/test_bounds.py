@@ -18,10 +18,9 @@ from covdev import (
     lower_bound_schatten,
     main_upper_bound,
     schatten_upper_bound,
-    standard_gaussian_bound,
 )
 
-from conftest import close, float_profile
+from conftest import close, float_profile, scaled, standard_gaussian_bound
 
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
 CONST22 = generate(ProfileFamily.constant(), 2, 2)
@@ -239,7 +238,7 @@ class TestAlgebraicProperties:
     def test_two_homogeneous_exact_power_of_two(self):
         rng = np.random.default_rng(14)
         B = float_profile(rng, 4, 3)
-        for r1, r2 in zip(all_reports(B), all_reports(B.scaled(2.0))):
+        for r1, r2 in zip(all_reports(B), all_reports(scaled(B, 2.0))):
             assert r2.leading_term == 4 * r1.leading_term
 
     def test_two_homogeneous_random_scale(self):
@@ -247,7 +246,7 @@ class TestAlgebraicProperties:
         for _ in range(25):
             B = float_profile(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
             t = float(rng.uniform(0.2, 3.0))
-            for r1, r2 in zip(all_reports(B), all_reports(B.scaled(t))):
+            for r1, r2 in zip(all_reports(B), all_reports(scaled(B, t))):
                 assert close(r2.total, t**2 * r1.total, rel=1e-12, abs_=1e-12)
                 assert r1.case_taken == r2.case_taken
 

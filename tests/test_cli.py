@@ -382,6 +382,13 @@ class TestVerifyCommand:
         status, out, _ = run_cli(capsys, "verify", "--pmax", "1", "--profiles", "2")
         assert status == 0
 
+    def test_thin_profiles_pass(self, capsys):
+        # one column: the shape engine's contractions once wrapped mod 2^64 here
+        status, out, _ = run_cli(
+            capsys, "verify", "--d", "3", "--n", "1", "--pmax", "6", "--profiles", "40", "--seed", "3"
+        )
+        assert status == 0, payload_of(out)["checks"]
+
 
 class TestCompareCommand:
     def test_structure(self, capsys, profile_file):

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,17 +15,16 @@ from covdev import (
     VarianceProfile,
     diag_trace_moment,
     estimate_deviation,
-    estimate_opnorm_deviation,
-    estimate_schatten_trace,
     full_trace_moment,
     generate,
     load_profile,
     lower_bound_opnorm,
     main_upper_bound,
-    sample_stream,
     tightness_report,
 )
 from covdev import montecarlo
+
+from conftest import scaled
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
@@ -39,6 +39,11 @@ def sample_deviation(B, rng):
     C = X @ X.T
     upper = np.triu(C, 1)
     return upper + upper.T + np.diag(np.diagonal(C) - (arr * arr).sum(axis=1))
+
+
+def sample_stream(seed, index):
+    """Independent per-sample stream: Philox keyed by seed, index in the counter."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
 def jumped_stream(seed, index):
@@ -91,48 +96,49 @@ class TestSampleDeviation:
 class TestEstimates:
     def test_determinism(self):
         cfg = SimConfig(seed=3, samples=40)
-        assert estimate_opnorm_deviation(B2212, cfg) == estimate_opnorm_deviation(B2212, cfg)
-        assert estimate_schatten_trace(B2212, 2, cfg) == estimate_schatten_trace(B2212, 2, cfg)
+        assert estimate_deviation(B2212, cfg)[0] == estimate_deviation(B2212, cfg)[0]
+        cfg = SimConfig(seed=3, samples=40, p_list=(2,))
+        assert estimate_deviation(B2212, cfg)[1] == estimate_deviation(B2212, cfg)[1]
 
     def test_zero_profile(self):
-        est = estimate_opnorm_deviation(ZERO, SimConfig(seed=0, samples=5))
+        est = estimate_deviation(ZERO, SimConfig(seed=0, samples=5))[0]
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_scaling_exact_power_of_two(self):
         cfg = SimConfig(seed=5, samples=20)
-        a = estimate_opnorm_deviation(B2212, cfg)
-        b = estimate_opnorm_deviation(B2212.scaled(2.0), cfg)
+        a = estimate_deviation(B2212, cfg)[0]
+        b = estimate_deviation(scaled(B2212, 2.0), cfg)[0]
         assert b.mean == 4 * a.mean
 
     def test_schatten_vs_oracle_anchor(self):
-        cfg = SimConfig(seed=11, samples=4000)
-        est = estimate_schatten_trace(B2212, 2, cfg)
+        cfg = SimConfig(seed=11, samples=4000, p_list=(2,))
+        est = estimate_deviation(B2212, cfg)[1]
         target = float(full_trace_moment(B2212, 2).value)
         assert abs(est.mean - target) <= 5 * est.stderr
         assert est.mean_root == pytest.approx(est.mean ** 0.5)
 
     def test_schatten_p4_vs_oracle(self):
-        est = estimate_schatten_trace(B2212, 4, SimConfig(seed=123, samples=6000))
+        est = estimate_deviation(B2212, SimConfig(seed=123, samples=6000, p_list=(4,)))[1]
         target = float(full_trace_moment(B2212, 4).value)
         assert abs(est.mean - target) <= 5 * est.stderr
 
     def test_1x1_variance_of_chisq(self):
         B = load_profile("1", format="csv")
-        est = estimate_schatten_trace(B, 2, SimConfig(seed=2, samples=4000))
+        est = estimate_deviation(B, SimConfig(seed=2, samples=4000, p_list=(2,)))[1]
         assert abs(est.mean - 2.0) <= 5 * est.stderr
 
     def test_single_row_second_moment_cap(self):
         # E |sum (g^2-1)| <= sqrt(E (sum)^2) = sqrt(2n)
         n = 100
         B = generate(ProfileFamily.constant(), 1, n)
-        est = estimate_opnorm_deviation(B, SimConfig(seed=8, samples=400))
+        est = estimate_deviation(B, SimConfig(seed=8, samples=400))[0]
         cap = math.sqrt(float(diag_trace_moment(B, 2).value))
         assert cap == pytest.approx(math.sqrt(2 * n))
         assert est.mean <= cap + 5 * est.stderr
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
-            estimate_schatten_trace(B2212, 3, SimConfig(seed=0, samples=5))
+            estimate_deviation(B2212, SimConfig(seed=0, samples=5, p_list=(3,)))
 
 
 def _reference_estimates(B, seed, samples, p_list):
@@ -241,9 +247,9 @@ class TestOnePass:
     def test_single_target_entry_points_select(self):
         cfg = SimConfig(seed=4, samples=25, p_list=(2, 4))
         opnorm, tr2, tr4 = estimate_deviation(B2212, cfg)
-        assert estimate_opnorm_deviation(B2212, cfg) == opnorm
-        assert estimate_schatten_trace(B2212, 2, cfg) == tr2
-        assert estimate_schatten_trace(B2212, 4, cfg) == tr4
+        assert estimate_deviation(B2212, replace(cfg, p_list=()))[0] == opnorm
+        assert estimate_deviation(B2212, replace(cfg, p_list=(2,)))[1] == tr2
+        assert estimate_deviation(B2212, replace(cfg, p_list=(4,)))[1] == tr4
         assert tr4.mean_root == tr4.mean ** 0.25
 
     def test_one_draw_per_sample_and_one_eigensolve_per_chunk(self, monkeypatch):
@@ -287,7 +293,7 @@ class TestOnePass:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(montecarlo.EigenConvergenceError) as info:
-            estimate_schatten_trace(B2212, 2, SimConfig(seed=0, samples=3))
+            estimate_deviation(B2212, SimConfig(seed=0, samples=3, p_list=(2,)))
         assert info.value.sample_index == 0
 
     def test_failure_in_a_later_chunk_names_that_sample(self, monkeypatch):
@@ -409,6 +415,6 @@ class TestTightnessReport:
         b = tuple(1.0 + 0.1 * j for j in range(8))
         for d in (5, 10, 20):
             B = generate(ProfileFamily.iid_rows(b), d, 8)
-            est = estimate_opnorm_deviation(B, SimConfig(seed=13, samples=100))
+            est = estimate_deviation(B, SimConfig(seed=13, samples=100))[0]
             lower = lower_bound_opnorm(B).total
             assert 0.2 <= est.mean / lower <= 5.0

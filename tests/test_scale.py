@@ -43,7 +43,7 @@ from covdev import (
 )
 from covdev.params import normalized_params, normalized_schatten_params
 
-from conftest import float_profile
+from conftest import float_profile, scaled
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -75,7 +75,7 @@ def outputs(B):
 def assert_power_of_two_image(B, k):
     """Every output of B scaled by 2^k is that of B times 2^(degree * k)."""
     base_values, base_cases = outputs(B)
-    values, cases = outputs(B.scaled(2.0**k))
+    values, cases = outputs(scaled(B, 2.0**k))
     assert cases == base_cases, k
     assert all(cases[key] in ("beta_le_1", "beta_gt_1") for key in cases if key[1] in TWO_BRANCH)
     for (p, name, want), (_, _, got) in zip(base_values, values):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -21,14 +22,153 @@ from covdev import (
     joint_moment,
     load_profile,
     offdiag_trace_moment,
-    shape_of,
-    spanning_tree,
     trace_moment_via_shapes,
 )
+from covdev import shapes
 
-from conftest import float_profile, rational_profile
+from conftest import entries, float_profile, rational_profile, scaled
 
 B2212 = load_profile("1,2\n3,4", format="csv")
+
+
+def _is_restricted_growth(seq) -> bool:
+    top = 0
+    for x in seq:
+        if x > top + 1 or x < 1:
+            return False
+        top = max(top, x)
+    return True
+
+
+def is_canonical(s: Shape) -> bool:
+    return _is_restricted_growth(s.left_seq) and _is_restricted_growth(s.right_seq)
+
+
+def has_distinct_consecutive_left(s: Shape) -> bool:
+    u, p = s.left_seq, s.p
+    return all(u[k] != u[(k + 1) % p] for k in range(p))
+
+
+def is_even(s: Shape) -> bool:
+    """Every edge traversed at least twice."""
+    return all(k >= 2 for k in s.edge_mult.values())
+
+
+def in_shape_set(s: Shape) -> bool:
+    """Membership in S: even plus the cyclic left-distinctness constraint."""
+    return is_even(s) and has_distinct_consecutive_left(s)
+
+
+def two_left_neighbors_per_right(s: Shape) -> bool:
+    """Every right label touches at least two distinct left labels."""
+    neighbors: dict[int, set[int]] = {}
+    for (i, j) in s.edge_mult:
+        neighbors.setdefault(j, set()).add(i)
+    return all(len(n) >= 2 for n in neighbors.values())
+
+
+def shape_of(left, right) -> Shape:
+    """Canonical relabeling of a path: each side renumbered by first appearance.
+
+    Idempotent on canonical shapes.
+    """
+    if len(left) != len(right):
+        raise ValueError(f"sequence lengths differ: {len(left)} vs {len(right)}")
+    out = []
+    for seq in (left, right):
+        seen: dict[int, int] = {}
+        canon = []
+        for x in seq:
+            if x not in seen:
+                seen[x] = len(seen) + 1
+            canon.append(seen[x])
+        out.append(tuple(canon))
+    return Shape(out[0], out[1])
+
+
+@dataclass(frozen=True)
+class ShapeGraph:
+    """The bipartite multigraph of a shape plus an optional spanning tree."""
+
+    left_count: int
+    right_count: int
+    edges: tuple[tuple[tuple[int, int], int], ...]  # ((left, right), multiplicity)
+    tree_edges: tuple[tuple[int, int], ...] | None = None
+
+    def tree_is_spanning(self) -> bool:
+        if self.tree_edges is None:
+            return False
+        if len(self.tree_edges) != self.left_count + self.right_count - 1:
+            return False
+        # union-find over left vertices 0..m2-1 and right vertices m2..m2+m1-1
+        parent = list(range(self.left_count + self.right_count))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for (i, j) in self.tree_edges:
+            a, b = find(i - 1), find(self.left_count + j - 1)
+            if a == b:
+                return False  # cycle
+            parent[a] = b
+        roots = {find(x) for x in range(self.left_count + self.right_count)}
+        return len(roots) == 1
+
+
+def spanning_tree(s: Shape, root_side: str = "left") -> ShapeGraph:
+    """First-arrival spanning tree of the shape graph.
+
+    Rooted on the left, the walk is u_1 -> v_1 -> u_2 -> ... -> v_p -> u_1:
+    left label k (k >= 2) is entered along (u_{i1(k)}, v_{i1(k)-1}) where
+    i1(k) is its first index, and right label k along (u_{i2(k)}, v_{i2(k)}).
+    Rooted on the right the walk is v_1 -> u_2 -> ... -> v_p -> u_1, so
+    arrival indices are taken along that order: the root-side left label
+    (always label 1) is entered at its first reappearance after the start,
+    or along the closing edge (u_1, v_p) if it never reappears.  Either way
+    the m1 + m2 - 1 edges form a spanning tree, which is asserted.
+    """
+    if root_side not in ("left", "right"):
+        raise ValueError(f"root_side must be 'left' or 'right', got {root_side!r}")
+    u, v, p = s.left_seq, s.right_seq, s.p
+    m1, m2 = s.m1, s.m2
+
+    def first_left(k, start):
+        return next((l for l in range(start, p) if u[l] == k), None)
+
+    def first_right(k, start):
+        return next(l for l in range(start, p) if v[l] == k)
+
+    tree: list[tuple[int, int]] = []
+    if root_side == "left":
+        for k in range(2, m2 + 1):
+            i1 = first_left(k, 1)
+            tree.append((u[i1], v[i1 - 1]))
+        for k in range(1, m1 + 1):
+            i2 = first_right(k, 0)
+            tree.append((u[i2], v[i2]))
+    else:
+        for k in range(1, m2 + 1):
+            i1 = first_left(k, 1)  # walk order: u_2 is the first left vertex seen
+            if i1 is None:
+                tree.append((u[0], v[p - 1]))  # label 1 only at the start: closing edge
+            else:
+                tree.append((u[i1], v[i1 - 1]))
+        for k in range(2, m1 + 1):
+            i2 = first_right(k, 1)
+            tree.append((u[i2], v[i2]))
+
+    graph = ShapeGraph(
+        left_count=m2,
+        right_count=m1,
+        edges=tuple(sorted(s.edge_mult.items())),
+        tree_edges=tuple(tree),
+    )
+    assert len(set(tree)) == m1 + m2 - 1, "first-arrival edges are not distinct"
+    assert graph.tree_is_spanning(), "first-arrival edges do not span"
+    return graph
 
 
 def brute_force_shape_set(p):
@@ -42,7 +182,7 @@ def brute_force_shape_set(p):
             continue
         for v in product(labels, repeat=p):
             s = shape_of(u, v)
-            if s.is_even:
+            if is_even(s):
                 found.add((s.left_seq, s.right_seq))
     return found
 
@@ -68,7 +208,7 @@ class TestShapeOf:
             u = tuple(int(x) for x in rng.integers(1, 9, size=p))
             v = tuple(int(x) for x in rng.integers(1, 9, size=p))
             s = shape_of(u, v)
-            assert s.is_canonical
+            assert is_canonical(s)
             t = shape_of(s.left_seq, s.right_seq)
             assert (t.left_seq, t.right_seq) == (s.left_seq, s.right_seq)
 
@@ -82,7 +222,7 @@ class TestShapeOf:
         u = data.draw(st.lists(st.integers(1, 8), min_size=p, max_size=p))
         v = data.draw(st.lists(st.integers(1, 8), min_size=p, max_size=p))
         s = shape_of(u, v)
-        assert s.is_canonical
+        assert is_canonical(s)
         assert sum(s.edge_mult.values()) == 2 * p
 
 
@@ -119,9 +259,9 @@ class TestEnumerate:
             shapes = enumerate_shapes(p)
             assert len({(s.left_seq, s.right_seq) for s in shapes}) == len(shapes)
             for s in shapes:
-                assert s.is_canonical
-                assert s.in_shape_set
-                assert s.two_left_neighbors_per_right
+                assert is_canonical(s)
+                assert in_shape_set(s)
+                assert two_left_neighbors_per_right(s)
                 assert sum(s.edge_mult.values()) == 2 * p
 
     def test_cap(self):
@@ -198,14 +338,14 @@ class TestWValue:
             for s in enumerate_shapes(p):
                 B = rational_profile(rng, 3, 3)
                 t = Fraction(3, 2)
-                assert W_value(s, B.scaled(t)) == t ** (2 * p) * W_value(s, B)
+                assert W_value(s, scaled(B, t)) == t ** (2 * p) * W_value(s, B)
 
     def test_monotone_entrywise(self):
         rng = np.random.default_rng(2)
         s = enumerate_shapes(4)[0]
         for _ in range(10):
             B = rational_profile(rng, 3, 3)
-            rows = [list(r) for r in B.entries]
+            rows = [list(r) for r in entries(B)]
             rows[1][1] += 1
             B2 = VarianceProfile(tuple(tuple(r) for r in rows), exact=True)
             assert W_value(s, B2) >= W_value(s, B)
@@ -213,7 +353,7 @@ class TestWValue:
     def test_float_mode_close_to_exact(self):
         rng = np.random.default_rng(3)
         B = rational_profile(rng, 3, 3)
-        Bf = VarianceProfile(tuple(tuple(float(x) for x in row) for row in B.entries), exact=False)
+        Bf = VarianceProfile(tuple(tuple(float(x) for x in row) for row in entries(B)), exact=False)
         for s in enumerate_shapes(3):
             exact = W_value(s, B)
             approx = W_value(s, Bf)
@@ -222,7 +362,7 @@ class TestWValue:
 
 def w_injective_maps(s, B):
     """W(s) by its definition: a loop over injective label maps, exact."""
-    ent = B.entries
+    ent = entries(B)
     return sum(
         (
             math.prod(Fraction(ent[w[i - 1]][t[j - 1]]) ** k for (i, j), k in s.edge_mult.items())
@@ -234,12 +374,15 @@ def w_injective_maps(s, B):
 
 
 def rational_profile_with_zero(rng, d, n) -> VarianceProfile:
-    rows = [list(r) for r in rational_profile(rng, d, n).entries]
+    rows = [list(r) for r in entries(rational_profile(rng, d, n))]
     rows[int(rng.integers(d))][int(rng.integers(n))] = Fraction(0)
     return VarianceProfile(rows, exact=True)
 
 
 SHAPES_UP_TO_5 = [s for p in range(1, 6) for s in enumerate_shapes(p)]
+# Numerators 3, 16 and 72 over 12: numpy multiplies two reduced hom factors
+# that each fit int64 as int64, where their product does not.
+THIN = [[Fraction(1, 4)], [Fraction(4, 3)], [Fraction(6)]]
 
 
 class TestWAgainstInjectiveMaps:
@@ -249,13 +392,27 @@ class TestWAgainstInjectiveMaps:
         rng = np.random.default_rng(100 + 10 * d + n)
         B = rational_profile_with_zero(rng, d, n)
         for s in SHAPES_UP_TO_5:
-            assert W_value(s, B) == w_injective_maps(s, B), (s, B.entries)
+            assert W_value(s, B) == w_injective_maps(s, B), (s, entries(B))
 
     def test_labels_beyond_dims_give_zero(self):
         B = rational_profile(np.random.default_rng(6), 2, 3)
         wide = [s for s in SHAPES_UP_TO_5 if s.m2 > 2 or s.m1 > 3]
         assert wide
         assert all(W_value(s, B) == 0 for s in wide)
+
+    @pytest.mark.parametrize("rows", [THIN, [[x[0] for x in THIN]]], ids=["3x1", "1x3"])
+    def test_thin_profile_up_to_p6(self, rows):
+        B = VarianceProfile(rows, exact=True)
+        for p in range(1, 7):
+            for s in enumerate_shapes(p):
+                assert W_value(s, B) == w_injective_maps(s, B), s
+
+    def test_hom_beyond_int64_is_exact(self):
+        # two left blocks on the one column: (sum_i N_i^6)^2, N = (3, 16, 72)
+        got = shapes._hom(VarianceProfile(THIN, exact=True), (((0, 0), 6), ((1, 0), 6)))
+        want = (3**6 + 16**6 + 72**6) ** 2
+        assert want >= 2**63
+        assert type(got) is int and got == want
 
 
 class TestWFloat:
@@ -265,7 +422,7 @@ class TestWFloat:
         rng = np.random.default_rng(7)
         for d, n in ((2, 3), (3, 3), (4, 2)):
             Bf = float_profile(rng, d, n)
-            B = VarianceProfile([[Fraction(x) for x in row] for row in Bf.entries], exact=True)
+            B = VarianceProfile([[Fraction(x) for x in row] for row in entries(Bf)], exact=True)
             for s in SHAPES_UP_TO_5:
                 assert W_value(s, Bf) == float(W_value(s, B))
 
@@ -283,7 +440,7 @@ class TestWFloat:
         B = float_profile(rng, 3, 3)
         checked = 0
         for k in range(-160, 161, 8):
-            Bk = B.scaled(2.0**k)
+            Bk = scaled(B, 2.0**k)
             assert np.array_equal(np.ldexp(Bk.as_array(), -k), B.as_array())  # the scaling itself is exact
             for s in SHAPES_UP_TO_5:
                 w = W_value(s, B)
@@ -455,7 +612,7 @@ class TestCeilingChecks:
         for p in (2, 3, 4):
             for s in enumerate_shapes(p):
                 for k in (-400, -3, 5, 400):
-                    Bk = B.scaled(2.0**k)
+                    Bk = scaled(B, 2.0**k)
                     assert check_opnorm_ceiling(s, Bk) == check_opnorm_ceiling(s, B), (p, s, k)
                     if p % 2 == 0:
                         w, base = check_schatten_ceiling(s, Bk, p), check_schatten_ceiling(s, B, p)

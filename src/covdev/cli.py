@@ -3,7 +3,8 @@
 Every subcommand prints one JSON report envelope on stdout; diagnostics go
 to stderr.  Exit status: 0 success, 1 verification failure, 2 input or
 resource error (including a command line the parser rejects, an eigensolver
-failure or running out of memory), always with a JSON error envelope.
+failure, running out of memory or out of recursion depth), always with a JSON
+error envelope.
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
 envelope timestamp is the only varying field).
@@ -30,6 +31,7 @@ from .profile import (
     ProfileFamily,
     ResourceLimitError,
     VarianceProfile,
+    _float,
     _parse_cell,
     generate,
     load_profile,
@@ -231,7 +233,7 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
 
     def moment_dict(m: oracle.ExactMoment) -> dict:
-        out = {"kind": m.kind, "p": m.p, "value": float(m.value)}
+        out = {"kind": m.kind, "p": m.p, "value": _float(m.value)}
         if B.exact:
             out["exact"] = str(m.value)
         return out
@@ -245,15 +247,13 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
             moment_dict(oracle.full_trace_moment(B, p, cap=args.cap)),
         ]
         if args.shape_sum:
-            sv = shapes.trace_moment_via_shapes(B, p, cap=max(p, shapes.DEFAULT_SHAPE_CAP))
+            sv = shapes.trace_moment_via_shapes(B, p)
             diff = sv - off.value
             entry = {
                 "p": p,
-                "value": float(sv),
-                "difference": float(diff),
-                "matches": diff == 0
-                if B.exact
-                else bool(abs(float(diff)) <= 1e-10 * max(1.0, abs(float(off.value)))),
+                "value": _float(sv),
+                "difference": _float(diff),
+                "matches": diff == 0 if B.exact else bool(abs(diff) <= 1e-10 * max(1.0, abs(off.value))),
             }
             if B.exact:
                 entry["exact"] = str(sv)
@@ -282,7 +282,7 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
             }
             if B is not None:
                 w = shapes.W_value(s, B)
-                entry["W"] = float(w)
+                entry["W"] = _float(w)
                 if B.exact:
                     entry["W_exact"] = str(w)
             census.append(entry)
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_args(so)
     so.add_argument("--p", type=_parse_int_list, default=[2])
     so.add_argument("--cap", type=int, default=oracle.DEFAULT_TERM_CAP,
-                    help="work cap: walk nodes per off-diagonal or full moment, compositions per diagonal one")
+                    help="work cap: walk nodes per off-diagonal or full moment, multiply-adds per diagonal one")
     so.add_argument("--shape-sum", action="store_true", help="also print the shape-sum value and difference")
     so.set_defaults(fn=cmd_oracle)
 
@@ -520,7 +520,8 @@ def main(argv=None) -> int:
         if unread:
             raise UsageError(f"unrecognized arguments: {' '.join(unread)}", command)
         payload, raw, status = args.fn(args)
-    except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError) as exc:
+    except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError,
+            RecursionError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if getattr(exc, "line", None) is not None:
             err["error"]["line"] = exc.line

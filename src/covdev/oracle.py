@@ -5,15 +5,16 @@ estimates are tested against.  Everything reduces to joint moments of a
 standard Gaussian g:
 
     a_{n,m} = E g^n (g^2 - 1)^m
-            = sum_{k=0}^m binom(m, k) (-1)^{m-k} mu_{n+2k},
+            = sum_{k=0}^m binom(m, k) (-1)^{m-k} E g^{n+2k},
 
-with mu_r = (r-1)!! for even r and 0 for odd r.  The three trace moments of
-M = X X^T - E X X^T expand over index tuples, the expectation of each term
-factorizing over matrix cells by independence.  Every moment has homogeneous
-degree 2p in the entries, so it is computed in integers over the common
-denominator D of the entries and divided by D^{2p} once.  A float profile
-uses the exact value of each float64 cell (D is a power of two) and is
-rounded once at the end, so its moments are correctly rounded.
+with E g^r = (r-1)!! for even r and 0 for odd r, so E g^r = a_{r,0}.  The
+three trace moments of M = X X^T - E X X^T expand over index tuples, the
+expectation of each term factorizing over matrix cells by independence.
+Every moment has homogeneous degree 2p in the entries, so it is computed in
+integers over the common denominator D of the entries (the profile's
+`numerators`) and divided by D^{2p} once.  A float profile uses the exact
+value of each float64 cell (D is a power of two) and is rounded once at the
+end, so its moments are correctly rounded.
 
 The off-diagonal and full moments walk the closed paths u_1 -> v_1 -> u_2
 -> ... -> v_p -> u_1 depth first over concrete labels, keeping the plain
@@ -23,7 +24,8 @@ when it reaches a zero cell, when more cells are unfinished than half-steps
 remain, or when the forced return to u_1 does not finish exactly the
 unfinished cells.  Work is capped by a count, not by time, so resource
 errors are deterministic: walk nodes (one per cell traversal added) for
-these two moments, exponent compositions for the diagonal one.
+these two moments, multiply-adds for the diagonal one, whose row moments are
+convolved one column at a time.
 """
 
 from __future__ import annotations
@@ -33,12 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
+from .profile import ResourceLimitError, VarianceProfile, _float
 
-from .params import _once
-from .profile import ResourceLimitError, VarianceProfile, _exact_parts, _float
-
-DEFAULT_TERM_CAP = 10**7  # walk nodes (off-diagonal and full) or compositions (diagonal)
+DEFAULT_TERM_CAP = 10**7  # walk nodes (off-diagonal and full) or multiply-adds (diagonal)
 
 
 @dataclass(frozen=True)
@@ -52,23 +51,17 @@ class ExactMoment:
 
 
 @lru_cache(maxsize=None)
-def _mu(r: int) -> int:
-    """E g^r: (r-1)!! for even r, 0 for odd r."""
-    return 0 if r % 2 else math.prod(range(r - 1, 0, -2))
-
-
-@lru_cache(maxsize=None)
 def joint_moment(n: int, m: int) -> int:
     """a_{n,m} = E g^n (g^2-1)^m, an exact integer.
 
-    Nonnegative, and zero exactly when n is odd or (n, m) = (0, 1).
+    Nonnegative, and zero exactly when n is odd or (n, m) = (0, 1);
+    a_{n,0} = E g^n = (n-1)!! for even n.
     """
     if n < 0 or m < 0:
         raise ValueError("moment orders must be nonnegative")
-    total = 0
-    for k in range(m + 1):
-        total += math.comb(m, k) * (-1) ** (m - k) * _mu(n + 2 * k)
-    return total
+    if n % 2:
+        return 0
+    return sum(math.comb(m, k) * (-1) ** (m - k) * math.prod(range(n + 2 * k - 1, 0, -2)) for k in range(m + 1))
 
 
 def joint_moment_table(max_n: int, max_m: int) -> dict[tuple[int, int], int]:
@@ -76,19 +69,9 @@ def joint_moment_table(max_n: int, max_m: int) -> dict[tuple[int, int], int]:
     return {(n, m): joint_moment(n, m) for n in range(max_n + 1) for m in range(max_m + 1)}
 
 
-def _numerators(B: VarianceProfile) -> tuple[np.ndarray, int]:
-    """(N, D) with b_ij = N_ij / D exactly, N an object array of Python ints.
-    A float profile uses the exact value of each float64 cell."""
-    if B.exact:
-        nums, den = B.integerized()
-        return np.array(nums, dtype=object), den
-    nums, den = _exact_parts([[Fraction(x) for x in row] for row in B.as_array().tolist()])
-    return nums.astype(object), den
-
-
 def _moment(B: VarianceProfile, p: int, kind: str, total: int) -> ExactMoment:
     """The integer sum over D^{2p}: exact, or rounded once for a float profile."""
-    value = Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * p))
+    value = Fraction(total, B.numerators[1] ** (2 * p))
     return ExactMoment(value=value if B.exact else _float(value), p=p, kind=kind)
 
 
@@ -100,7 +83,7 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     n = B.n
-    N = _once(B, "numerators", _numerators)[0].ravel().tolist()  # cell c = (c // n, c % n)
+    N = B.numerators[0].ravel().tolist()  # cell c = (c // n, c % n)
     plain, cent = [0] * len(N), [0] * len(N)
     unfinished: set[int] = set()
     path: list[int] = []
@@ -183,40 +166,26 @@ def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -
     return _moment(B, p, "full", _path_sum(B, p, True, cap))
 
 
-def _compositions_skip_one(total: int, parts: int):
-    """Weak compositions of `total` into `parts` >= 1 parts, no part equal to 1:
-    such a part would carry the factor E(g^2-1) = 0."""
-    if parts == 1:
-        if total != 1:
-            yield (total,)
-        return
-    for first in range(total + 1):
-        if first != 1:
-            for rest in _compositions_skip_one(total - first, parts - 1):
-                yield (first,) + rest
-
-
 def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
-    """E Tr(Diag(X X^T) - E X X^T)^p = sum_i E (sum_j b_ij^2 (g_ij^2 - 1))^p.
+    """E Tr(Diag(X X^T) - E X X^T)^p = sum_i E S_i^p, S_i = sum_j b_ij^2 (g_ij^2 - 1).
 
-    Expanded per row with the multinomial theorem over column exponent
-    vectors; the per-column factor is the central moment a_{0,r}.
+    Each row's moments E S^q, q <= p, are built one column at a time: adding
+    the independent term b^2 (g^2 - 1) convolves them with its moments,
+    E (S + b^2 (g^2 - 1))^q = sum_r binom(q, r) E S^{q-r} b^{2r} a_{0,r},
+    which is (p+1)(p+2)/2 multiply-adds per cell.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    d, n = B.d, B.n
-    n_comps = math.comb(p + n - 1, n - 1)
-    if d * n_comps > cap:
-        raise ResourceLimitError(f"diagonal expansion needs {d * n_comps} terms, cap is {cap}")
-    fact_p = math.factorial(p)
+    terms = B.d * B.n * (p + 1) * (p + 2) // 2
+    if terms > cap:
+        raise ResourceLimitError(f"diagonal expansion needs {terms} multiply-adds, cap is {cap}")
+    coef = [[math.comb(q, r) * joint_moment(0, r) for r in range(q + 1)] for q in range(p + 1)]
     total = 0
-    for row in _once(B, "numerators", _numerators)[0].tolist():
-        for comp in _compositions_skip_one(p, n):
-            coef = fact_p
-            term = 1
-            for j, r in enumerate(comp):
-                if r:
-                    coef //= math.factorial(r)
-                    term *= row[j] ** (2 * r) * joint_moment(0, r)
-            total += coef * term
+    for row in B.numerators[0].tolist():
+        moments = [1] + [0] * p  # E S^q of the empty sum
+        for x in row:
+            if x:
+                y = [x ** (2 * r) for r in range(p + 1)]
+                moments = [sum(c * moments[q - r] * y[r] for r, c in enumerate(cs)) for q, cs in enumerate(coef)]
+        total += moments[p]
     return _moment(B, p, "diag", total)

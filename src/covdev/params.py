@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,10 +122,10 @@ def _pair_sums(B: VarianceProfile) -> tuple[int, np.ndarray, np.ndarray]:
     if B.exact and not B.is_zero and values.max() < sys.float_info.min:
         # every cell is below the normal range, where its float has lost it:
         # scale the exact cells into range by an even power of two 2^s first
-        nums, den = B.integerized()
-        s = den.bit_length() - max(map(max, nums)).bit_length() + 2
+        nums, den = B.numerators
+        s = den.bit_length() - nums.max().bit_length() + 2
         s += s % 2
-        e, S, A = _pair_sums(VarianceProfile([[Fraction(x << s, den) for x in row] for row in nums], exact=True))
+        e, S, A = _pair_sums(VarianceProfile._of(nums << s, den))
         return e - s, S, A
     e = math.frexp(float(values.max()))[1]
     e += e % 2

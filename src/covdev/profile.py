@@ -4,10 +4,11 @@ A profile is the d x n nonnegative matrix B = (b_ij) of entrywise standard
 deviations; every other module consumes it read-only.  A float profile is a
 read-only float64 array.  An exact profile (integer and "p/q" cells only) is
 an integer numerator matrix N over the least common denominator D, int64 when
-it fits, else Python ints (`integerized()` always gives Python ints), plus the
-float view N_ij / D, correctly rounded.  A decimal cell makes the whole matrix
-float.  A negative cell, or one with no finite float64 value, is a
-ProfileDomainError.  Parameters are computed once per profile (see params).
+it fits, else Python ints, plus the float view N_ij / D, correctly rounded.
+A decimal cell makes the whole matrix float.  `numerators` is the one exact
+view of the cells of either kind of profile.  A negative cell, or one with no
+finite float64 value, is a ProfileDomainError.  Parameters are computed once
+per profile (see params).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class VarianceProfile:
             a.setflags(write=False)
         # _matrix: the numerators over _den when exact, else the float values;
         # _memo: per-profile cache of derived quantities, filled through params._once
-        # (by the params, oracle and shapes modules)
+        # (by the params and shapes modules)
         self.__dict__.update(d=values.shape[0], n=values.shape[-1], exact=den is not None,
                              _matrix=nums, _den=den, _values=values, _memo={})
         self.__post_init__()
@@ -107,16 +108,19 @@ class VarianceProfile:
     def is_zero(self) -> bool:
         return not self._matrix.any()
 
-    def integerized(self) -> tuple[list[list[int]], int]:
-        """Entries as Python integers over a common denominator D (exact mode only).
-
-        Returns (N, D) with b_ij = N_ij / D.  Every moment of homogeneous
-        degree 2p in the entries can then be computed in pure integer
-        arithmetic and divided by D**(2p) once at the end.
-        """
-        if not self.exact:
-            raise ValueError("integerized() requires an exact profile")
-        return self._matrix.tolist(), self._den
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """(N, D) with b_ij = N_ij / D exactly, N a read-only object array of
+        Python ints.  A float profile uses the exact value of each float64 cell
+        (D is a power of two).  Every moment of homogeneous degree 2p in the
+        entries is then an integer sum divided by D**(2p) once at the end."""
+        if self.exact:
+            nums, den = self._matrix, self._den
+        else:
+            nums, den = _exact_parts([[Fraction(x) for x in row] for row in self._values.tolist()])
+        nums = nums.astype(object)
+        nums.setflags(write=False)
+        return nums, den
 
     def _cells(self, row: np.ndarray) -> list:
         """One row's cells for serialization: floats, or ints and "p/q" strings in lowest terms."""

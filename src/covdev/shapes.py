@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .oracle import _mu, _numerators
+from .oracle import joint_moment
 from .params import _once, normalized_params, normalized_schatten_params
 from .profile import ResourceLimitError, VarianceProfile, _float
 
@@ -167,7 +167,7 @@ def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
 def L_value(s: Shape) -> int:
     """Gaussian expectation attached to the shape: prod_e E g^{k_e}, which is
     prod_e (k_e - 1)!! if every multiplicity is even, else 0."""
-    return math.prod(_mu(k) for k in s.edge_mult.values())
+    return math.prod(joint_moment(k, 0) for k in s.edge_mult.values())
 
 
 def W_value(s: Shape, B: VarianceProfile):
@@ -188,7 +188,7 @@ def _weight(s: Shape, B: VarianceProfile) -> Fraction:
     if s.m2 > B.d or s.m1 > B.n:
         return Fraction(0)
     total = sum(coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s).items())
-    return Fraction(total, _once(B, "numerators", _numerators)[1] ** (2 * s.p))
+    return Fraction(total, B.numerators[1] ** (2 * s.p))
 
 
 @lru_cache(maxsize=None)
@@ -219,17 +219,13 @@ def _quotient_table(s: Shape) -> dict[tuple, int]:
     return {q: coef for q, coef in table.items() if coef}
 
 
-def _power(B: VarianceProfile, k: int) -> np.ndarray:
-    return _once(B, "numerators", _numerators)[0] ** k
-
-
 def _hom(B: VarianceProfile, quotient: tuple) -> int:
     """sum over all maps of left blocks into rows and right blocks into
     columns of prod_e N^{k_e}: one einsum, left blocks first in the letters."""
     left = 1 + max(a for (a, _), _ in quotient)
     letters = string.ascii_letters
     subscripts = ",".join(letters[a] + letters[left + b] for (a, b), _ in quotient)
-    powers = (_once(B, ("power", k), _power, k) for _, k in quotient)
+    powers = (_once(B, ("power", k), lambda B, k: B.numerators[0] ** k, k) for _, k in quotient)
     return int(np.einsum(subscripts + "->", *powers, optimize=True, dtype=object))
 
 

@@ -22,8 +22,8 @@ from covdev import BoundConfig, BoundReport, ProfileDomainError, ProfileFamily, 
 def entries(B: VarianceProfile) -> tuple[tuple, ...]:
     """The cells as Python objects: Fractions when exact, floats otherwise."""
     if B.exact:
-        nums, den = B.integerized()
-        return tuple(tuple(Fraction(x, den) for x in row) for row in nums)
+        nums, den = B.numerators
+        return tuple(tuple(Fraction(x, den) for x in row) for row in nums.tolist())
     return tuple(map(tuple, B.as_array().tolist()))
 
 

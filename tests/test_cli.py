@@ -311,6 +311,38 @@ class TestOracleCommand:
         assert "Traceback" not in err
 
 
+    def test_shape_sum_above_shape_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n")
+        status, out, err = run_cli(capsys, "oracle", "--profile", str(path), "--p", "9", "--shape-sum")
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "ResourceLimitError", "message": "shape order 9 above cap 8"}
+        assert "Traceback" not in err
+
+    def test_values_beyond_float_range_print_inf(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"{10**200}\n1\n")
+        status, out, err = run_cli(capsys, "oracle", "--profile", str(path), "--p", "2", "--shape-sum")
+        assert status == 0 and "Traceback" not in err
+        p = payload_of(out)
+        vals = {m["kind"]: m for m in p["moments"]}
+        assert vals["offdiag"] == {"kind": "offdiag", "p": 2, "value": "inf", "exact": str(2 * 10**400)}
+        assert vals["diag"]["exact"] == str(2 * 10**800 + 2) and vals["full"]["value"] == "inf"
+        assert p["shape_sums"] == [{"p": 2, "value": "inf", "difference": 0.0, "matches": True,
+                                    "exact": str(2 * 10**400)}]
+
+    def test_recursion_depth_exit_2(self, capsys):
+        status, out, err = run_cli(capsys, "oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", "1200")
+        assert status == 2
+        assert payload_of(out)["error"]["type"] == "RecursionError"
+        assert "Traceback" not in err
+
+    def test_wide_row_exit_0(self, capsys):
+        status, out, err = run_cli(capsys, "oracle", "--family", "constant", "--d", "1", "--n", "1500", "--p", "1")
+        assert status == 0 and "Traceback" not in err
+        assert [m["exact"] for m in payload_of(out)["moments"]] == ["0", "0", "0"]
+
+
 class TestShapesCommand:
     def test_census_p2(self, capsys):
         status, out, _ = run_cli(capsys, "shapes", "--p", "2")
@@ -323,6 +355,14 @@ class TestShapesCommand:
     def test_census_with_profile(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "shapes", "--p", "2", "--profile", profile_file)
         assert payload_of(out)["shapes"][0]["W_exact"] == "146"
+
+    def test_weight_beyond_float_range_prints_inf(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"{10**200}\n1\n")
+        status, out, err = run_cli(capsys, "shapes", "--p", "2", "--profile", str(path))
+        assert status == 0 and "Traceback" not in err
+        entry = payload_of(out)["shapes"][0]
+        assert (entry["W"], entry["W_exact"]) == ("inf", str(2 * 10**400))
 
 
 class TestExamplesCommand:

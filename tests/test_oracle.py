@@ -113,6 +113,19 @@ class TestDiagMoment:
             expect = 8 * sum(x**6 for row in entries(B) for x in row)
             assert diag_trace_moment(B, 3).value == expect
 
+    def test_wide_row(self):
+        # E (sum_j (g_j^2 - 1))^2 = 2 n; one row of 1500 columns
+        B = generate(ProfileFamily.constant(), 1, 1500)
+        assert diag_trace_moment(B, 2).value == 3000
+
+    def test_cap_counts_multiply_adds(self):
+        # (p+1)(p+2)/2 multiply-adds per cell
+        B = rational_profile(np.random.default_rng(25), 3, 4)
+        terms = 3 * 4 * 6 * 7 // 2
+        with pytest.raises(ResourceLimitError):
+            diag_trace_moment(B, 5, cap=terms - 1)
+        assert diag_trace_moment(B, 5, cap=terms) == diag_trace_moment(B, 5)
+
     def test_matches_brute_force_cell_expansion(self):
         # independent route: expand (sum_j c_j Y_j)^p over all index tuples
         # with Y = g^2 - 1 and per-cell joint moments

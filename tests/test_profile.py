@@ -260,11 +260,18 @@ class TestProfileObject:
         with pytest.raises(ProfileDomainError):
             VarianceProfile(((float("nan"),),), exact=False)
 
-    def test_integerized(self):
+    def test_numerators(self):
         B = load_profile("1/2,3\n0,5/4", format="csv")
-        nums, den = B.integerized()
+        nums, den = B.numerators
         assert den == 4
-        assert nums == [[2, 12], [0, 5]]
+        assert nums.tolist() == [[2, 12], [0, 5]]
+
+    def test_numerators_of_float_cells_are_exact(self):
+        cells = [5e-324, -0.0, 2.0**500, 2.0**-500, 2.2250738585072014e-308 / 3, 0.1]
+        rows = [cells, cells[::-1]]
+        nums, den = VarianceProfile(rows, exact=False).numerators
+        assert not nums.flags.writeable and all(type(x) is int for x in nums.flat)
+        assert [[Fraction(x, den) for x in row] for row in nums.tolist()] == [list(map(Fraction, row)) for row in rows]
 
 
 class TestExactArithmeticSafety:
@@ -281,7 +288,8 @@ class TestExactArithmeticSafety:
 
     def test_beyond_int64_stays_python_ints(self):
         B = self.big_profile()
-        nums, den = B.integerized()
+        nums, den = B.numerators
+        nums = nums.tolist()
         assert den > 2**63 and max(map(max, nums)) > 2**63
         assert all(type(x) is int for row in nums for x in row) and type(den) is int
         assert [[Fraction(x, den) for x in row] for row in nums] == [list(row) for row in entries(B)]

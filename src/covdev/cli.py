@@ -21,6 +21,7 @@ import hashlib
 import math
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +69,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
         return f'"{out}"'
-    if isinstance(obj, Fraction):
-        return dumps_canonical(str(obj.numerator) if obj.denominator == 1 else f"{obj}")
+    if isinstance(obj, Fraction):  # through Decimal, which prints ints of any length
+        text = str(Decimal(obj.numerator))
+        if obj.denominator != 1:
+            text += "/" + str(Decimal(obj.denominator))
+        return f'"{text}"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -235,7 +239,7 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
     def moment_dict(m: oracle.ExactMoment) -> dict:
         out = {"kind": m.kind, "p": m.p, "value": _float(m.value)}
         if B.exact:
-            out["exact"] = str(m.value)
+            out["exact"] = m.value
         return out
 
     payload = {"profile": {"d": B.d, "n": B.n, "exact": B.exact}, "moments": [], "shape_sums": []}
@@ -249,14 +253,9 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
         if args.shape_sum:
             sv = shapes.trace_moment_via_shapes(B, p)
             diff = sv - off.value
-            entry = {
-                "p": p,
-                "value": _float(sv),
-                "difference": _float(diff),
-                "matches": diff == 0 if B.exact else bool(abs(diff) <= 1e-10 * max(1.0, abs(off.value))),
-            }
+            entry = {"p": p, "value": _float(sv), "difference": _float(diff), "matches": diff == 0}
             if B.exact:
-                entry["exact"] = str(sv)
+                entry["exact"] = sv
             payload["shape_sums"].append(entry)
     if not args.shape_sum:
         del payload["shape_sums"]
@@ -284,7 +283,7 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
                 w = shapes.W_value(s, B)
                 entry["W"] = _float(w)
                 if B.exact:
-                    entry["W_exact"] = str(w)
+                    entry["W_exact"] = w
             census.append(entry)
     payload = {"count": len(census), "shapes": census}
     return payload, raw, 0

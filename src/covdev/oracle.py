@@ -46,9 +46,6 @@ class ExactMoment:
     p: int
     kind: str  # "full" | "offdiag" | "diag"
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 @lru_cache(maxsize=None)
 def joint_moment(n: int, m: int) -> int:

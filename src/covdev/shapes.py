@@ -31,7 +31,11 @@ reduced operands, which numpy otherwise multiplies as int64 when both fit,
 so the product wraps mod 2^64.  A float profile runs the same integer engine
 on the exact values of its float64 cells (D is a power of two), so its W is
 the correctly rounded exact value, and is exactly invariant under row and
-column permutations.
+column permutations.  The shape sum adds L(s) W(s) exactly and rounds once.
+
+The two per-shape ceilings, taken at sigma_* = 1, share one form,
+W(s) <= d a^{2 m1} c^{2(m2-1)} with c = sigma_C / sigma_*, and differ only in
+the scale-free ratio a; the operator-norm one also has an n side.
 """
 
 from __future__ import annotations
@@ -230,22 +234,13 @@ def _hom(B: VarianceProfile, quotient: tuple) -> int:
 
 
 def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE_CAP):
-    """sum_{s in S} L(s) W(s); must agree with oracle.offdiag_trace_moment.
+    """sum_{s in S} L(s) W(s); equals oracle.offdiag_trace_moment.
 
-    Exact rational in exact mode.  The reduction order is the deterministic
-    enumeration order, so float results are reproducible.
+    The sum is taken exactly over the exact weights and rounded once for a
+    float profile, so it is the correctly rounded value, as the oracle's.
     """
-    shapes = enumerate_shapes(p, cap=cap)
-    if B.exact:
-        total = Fraction(0)
-    else:
-        total = 0.0
-    for s in shapes:
-        ell = L_value(s)
-        if ell == 0:
-            continue
-        total += ell * W_value(s, B)
-    return total
+    total = sum((ell * _weight(s, B) for s in enumerate_shapes(p, cap=cap) if (ell := L_value(s))), Fraction(0))
+    return total if B.exact else _float(total)
 
 
 @dataclass(frozen=True)
@@ -256,8 +251,6 @@ class CeilingWitness:
     case: str
     w_value: float
     ceiling: float
-    ceiling_d_side: float | None = None
-    ceiling_n_side: float | None = None
 
     @property
     def holds(self) -> bool:
@@ -266,71 +259,61 @@ class CeilingWitness:
         return self.w_value <= self.ceiling * (1 + 1e-9) + 1e-12
 
 
+_NOT_APPLICABLE = CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
+
+
+def _witness(s: Shape, B: VarianceProfile, case: str, a: float, n_side: bool) -> CeilingWitness:
+    """W(s) at sigma_* = 1 against d a^{2 m1} c^{2(m2-1)}, c = sigma_C / sigma_*,
+    and with n_side also against n a^{2(m1-1)} c^{2 m2}.
+
+    W(s) / sigma_*^{2p} is divided exactly, sigma_* the exact largest cell,
+    and rounded once.  a and c are ratios of the parameters of 2^-e B (see
+    params), so no side depends on the profile's scale.
+    """
+    P = normalized_params(B)[1]
+    c = P.sigma_C / P.sigma_star
+    ceiling = B.d * a ** (2 * s.m1) * c ** (2 * (s.m2 - 1))
+    if n_side:
+        ceiling = min(ceiling, B.n * a ** (2 * (s.m1 - 1)) * c ** (2 * s.m2))
+    nums, den = B.numerators
+    w = _weight(s, B) / Fraction(nums.max(), den) ** (2 * s.p)
+    return CeilingWitness(applicable=True, case=case, w_value=_float(w), ceiling=ceiling)
+
+
 def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
-    """Per-shape weight ceiling behind the operator-norm bound.
+    """Per-shape weight ceiling behind the operator-norm bound, at sigma_* = 1
+    (weights are homogeneous of degree 2p, so this loses nothing):
 
-    After normalizing the profile to sigma_* = 1 (weights are homogeneous of
-    degree 2p, so this loses nothing), the claim is
+      W(s) <= min( d a^{2 m1} c^{2(m2-1)}, n a^{2(m1-1)} c^{2 m2} ),  c = sigma_C/sigma_*,
+      a = sigma_inf/(sigma_C sigma_*) if beta_inf <= 1, else sigma_tilde/sigma_*^2.
 
-      beta_inf <= 1:  W(s) <= min( d (sigma_inf/sigma_C)^{2 m1} sigma_C^{2(m2-1)},
-                                   n (sigma_inf/sigma_C)^{2(m1-1)} sigma_C^{2 m2} )
-      beta_inf > 1 :  the ratio sigma_inf/sigma_C is replaced by sigma_tilde.
-
-    The weight is W(s) / sigma_*^{2p}, divided exactly and rounded once, and
-    the parameters are those of 2^-e B (see params) divided by their sigma_*.
     The zero profile yields a not-applicable witness.
     """
-    e, P = normalized_params(B)
-    star = P.sigma_star
-    if not star:
-        return CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
-    w_norm = _float(_weight(s, B) / (Fraction(star) * Fraction(2) ** e) ** (2 * s.p))
-    m1, m2 = s.m1, s.m2
+    if B.is_zero:
+        return _NOT_APPLICABLE
+    P = normalized_params(B)[1]
     if P.beta_inf <= 1:
-        case = "beta_le_1"
-        a = P.sigma_inf / P.sigma_C / star if P.sigma_C > 0 else 0.0
-    else:
-        case = "beta_gt_1"
-        a = P.sigma_tilde_inf / star**2
-    c = P.sigma_C / star
-    d_side = B.d * a ** (2 * m1) * c ** (2 * (m2 - 1))
-    n_side = B.n * a ** (2 * (m1 - 1)) * c ** (2 * m2)
-    return CeilingWitness(
-        applicable=True, case=case, w_value=w_norm,
-        ceiling=min(d_side, n_side), ceiling_d_side=d_side, ceiling_n_side=n_side,
-    )
+        return _witness(s, B, "beta_le_1", P.sigma_inf / P.sigma_C / P.sigma_star, n_side=True)
+    return _witness(s, B, "beta_gt_1", P.sigma_tilde_inf / P.sigma_star**2, n_side=True)
 
 
 def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> CeilingWitness:
-    """Per-shape weight ceiling behind the Schatten bound.
+    """Per-shape weight ceiling behind the Schatten bound, at sigma_* = 1:
 
-      beta_p <= 1:  W(s) <= d sigma_*^{2p} (sigma_p/(sigma_* sigma_C))^{2 m1}
-                                 (sigma_C/sigma_*)^{2(m2-1)}
-      beta_p > 1 :  sigma_p/(sigma_* sigma_C) is replaced by sigma_bar_p/sigma_*^2.
+      W(s) <= d a^{2 m1} c^{2(m2-1)},  c = sigma_C/sigma_*,
+      a = sigma_p/(sigma_C sigma_*) if beta_p <= 1, else sigma_bar_p/sigma_*^2.
 
     Requires sum_e k_e = 2 p_schatten (the shape and the Schatten order must
-    match).  Both sides are homogeneous of degree 2p, so the check runs on
-    2^-e B (see params), with W(s) / 2^{2pe} divided exactly and rounded once.
-    The powers of sigma_* are collected into sigma_*^{2k}; a shape of S has
-    m1 + m2 - 1 <= p, so k >= 0 in the first branch and a zero profile needs
-    no special case.
+    match).  The zero profile yields a not-applicable witness.
     """
     if sum(s.edge_mult.values()) != 2 * p_schatten:
         raise ValueError(
             f"shape traverses {sum(s.edge_mult.values())} edges, expected {2 * p_schatten}"
         )
-    e, P = normalized_params(B)
-    _, Q = normalized_schatten_params(B, p_schatten)
-    star, c = P.sigma_star, P.sigma_C
-    m1, m2 = s.m1, s.m2
+    if B.is_zero:
+        return _NOT_APPLICABLE
+    P = normalized_params(B)[1]
+    Q = normalized_schatten_params(B, p_schatten)[1]
     if Q.beta_p <= 1:
-        case = "beta_le_1"
-        k = p_schatten - m1 - m2 + 1
-        base = Q.sigma_p / c if c > 0 else 0.0
-    else:
-        case = "beta_gt_1"
-        k = p_schatten - 2 * m1 - m2 + 1
-        base = Q.sigma_bar_p
-    ceiling = B.d * star ** (2 * k) * base ** (2 * m1) * c ** (2 * (m2 - 1))
-    w_value = _float(_weight(s, B) / Fraction(2) ** (2 * p_schatten * e))
-    return CeilingWitness(applicable=True, case=case, w_value=w_value, ceiling=ceiling)
+        return _witness(s, B, "beta_le_1", Q.sigma_p / P.sigma_C / P.sigma_star, n_side=False)
+    return _witness(s, B, "beta_gt_1", Q.sigma_bar_p / P.sigma_star**2, n_side=False)

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from covdev import montecarlo, shapes
+from covdev import diag_trace_moment, load_profile, montecarlo, shapes
 from covdev.cli import dumps_canonical, main
 
 
@@ -331,6 +333,28 @@ class TestOracleCommand:
         assert p["shape_sums"] == [{"p": 2, "value": "inf", "difference": 0.0, "matches": True,
                                     "exact": str(2 * 10**400)}]
 
+    def test_float_shape_sum_is_the_rounded_oracle_moment(self, capsys, tmp_path):
+        path = tmp_path / "float.csv"
+        path.write_text("0.1,0.2\n0.3,0.7\n")
+        status, out, _ = run_cli(capsys, "oracle", "--profile", str(path), "--p", "6", "--shape-sum")
+        assert status == 0
+        p = payload_of(out)
+        assert p["shape_sums"] == [{"p": 6, "value": p["moments"][0]["value"], "difference": 0, "matches": True}]
+        assert '"difference": 0,' in out
+
+    def test_exact_results_beyond_the_int_digit_limit(self, capsys, tmp_path):
+        # the p = 4 diagonal moment of 1/10^600 has a 4,801-digit denominator
+        path = tmp_path / "tiny.csv"
+        path.write_text(f"1/{10**600}\n")
+        status, out, err = run_cli(capsys, "oracle", "--profile", str(path), "--p", "4")
+        assert status == 0 and "Traceback" not in err
+        exact = {m["kind"]: m["exact"] for m in payload_of(out)["moments"]}
+        num, den = (int(Decimal(t)) for t in exact["diag"].split("/"))
+        assert Fraction(num, den) == diag_trace_moment(load_profile(path.read_bytes()), 4).value
+        path.write_text("1/1" + "0" * 5000 + "\n")  # a 5,001-digit input cell
+        status, out, err = run_cli(capsys, "oracle", "--profile", str(path), "--p", "4")
+        assert status == 2 and payload_of(out)["error"]["type"] == "ProfileFormatError"
+
     def test_recursion_depth_exit_2(self, capsys):
         status, out, err = run_cli(capsys, "oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", "1200")
         assert status == 2
@@ -363,6 +387,16 @@ class TestShapesCommand:
         assert status == 0 and "Traceback" not in err
         entry = payload_of(out)["shapes"][0]
         assert (entry["W"], entry["W_exact"]) == ("inf", str(2 * 10**400))
+
+    def test_weight_beyond_the_int_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text(f"1/{10**600},1/{10**600}\n1/{10**600},1/{10**600}\n")
+        status, out, err = run_cli(capsys, "shapes", "--p", "4", "--profile", str(path))
+        assert status == 0 and "Traceback" not in err
+        B = load_profile(path.read_bytes())
+        for entry, s in zip(payload_of(out)["shapes"], shapes.enumerate_shapes(4)):
+            num, _, den = entry["W_exact"].partition("/")
+            assert Fraction(int(Decimal(num)), int(Decimal(den or 1))) == shapes.W_value(s, B)
 
 
 class TestExamplesCommand:

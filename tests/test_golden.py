@@ -32,6 +32,7 @@ FILES = {
     "float.csv": "0.5,1.25,0.0\n2.0,0.75,1.5\n0.125,3.0,0.25\n",
     "ratio.csv": "1/2,3,2/3\n5/4,0,7\n1,1/3,2\n",
     "ratio4.csv": "1/2,3,2/3,1\n5/4,1,7,1/5\n",
+    "float2.csv": "0.1,0.2\n0.3,0.7\n",
     "mixed.json": '{"d": 2, "n": 3, "entries": [[1, "1/3", 0.25], [0, 2, "7"]]}',
 }
 
@@ -49,9 +50,11 @@ CASES = {
     "examples_rank_one": ("examples", "--family", "rank_one", "--grid", "3x5,6x4,4x4", "--seed", "3"),
     "examples_bounded_ratio": ("examples", "--family", "bounded_ratio", "--grid", "3x5,6x4", "--seed", "5"),
     "oracle_shape_sum": ("oracle", "--profile", "@ratio.csv", "--p", "2,4", "--shape-sum"),
+    "oracle_shape_sum_float": ("oracle", "--profile", "@float2.csv", "--p", "6", "--shape-sum"),
     "shapes_p4": ("shapes", "--p", "4", "--profile", "@ratio.csv"),
     "shapes_p6_ratio": ("shapes", "--p", "6", "--profile", "@ratio.csv"),
     "shapes_p4_float": ("shapes", "--p", "4", "--profile", "@float.csv"),
+    "verify_3x1_p6": ("verify", "--d", "3", "--n", "1", "--pmax", "6", "--profiles", "40", "--seed", "3"),
 }
 
 

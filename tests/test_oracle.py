@@ -312,13 +312,16 @@ class TestWalkAgainstProductExpansion:
     def test_offdiag_and_full(self, d, n, pmax):
         for B in reference_profiles(d, n, seed=40 + 10 * d + n):
             for p in range(1, pmax + 1):
-                for fn, reference in ((offdiag_trace_moment, offdiag_by_product), (full_trace_moment, full_by_product)):
-                    want = reference(B, p)
-                    got = fn(B, p).value
+                off = offdiag_by_product(B, p)
+                for name, got, want in (
+                    ("offdiag", offdiag_trace_moment(B, p).value, off),
+                    ("shape sum", trace_moment_via_shapes(B, p), off),
+                    ("full", full_trace_moment(B, p).value, full_by_product(B, p)),
+                ):
                     if B.exact:
-                        assert got == want and isinstance(got, Fraction), (fn.__name__, p, entries(B))
+                        assert got == want and isinstance(got, Fraction), (name, p, entries(B))
                     else:  # the correctly rounded exact moment of the float cells
-                        assert isinstance(got, float) and got == float(want), (fn.__name__, p, entries(B))
+                        assert isinstance(got, float) and got == float(want), (name, p, entries(B))
 
     def test_float_moments_bitwise_invariant_under_permutations(self):
         rng = np.random.default_rng(41)

@@ -24,14 +24,15 @@ where s / (pi, sigma) merges the labels of each block (multiplicities add)
 and hom sums prod_e N^{k_e} over all maps of its blocks into rows and
 columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  The
 (pi, sigma) sum folds into a per-shape table of integer coefficients over
-distinct quotients; each hom is one einsum over integer power matrices,
-computed once per profile.  The einsum is asked for dtype=object: on a
-profile with one row or one column its optimised path multiplies fully
-reduced operands, which numpy otherwise multiplies as int64 when both fit,
-so the product wraps mod 2^64.  A float profile runs the same integer engine
-on the exact values of its float64 cells (D is a power of two), so its W is
-the correctly rounded exact value, and is exactly invariant under row and
-column permutations.  The shape sum adds L(s) W(s) exactly and rounds once.
+distinct quotients, cached per shape.  Each hom runs a variable elimination
+plan cached per (quotient edges, d, n): a step sums out the block whose
+factors span the fewest cells by one object-dtype einsum, so no product
+wraps, and the result is asserted to be a Python int.  A step over edge
+powers alone gives a star, kept on the profile by side and multiplicities,
+as each hom and W are.  A float profile runs the same integer engine on the
+exact values of its float64 cells (D is a power of two), so its W is the
+correctly rounded exact value, and is exactly invariant under row and column
+permutations.  The shape sum adds L(s) W(s) exactly and rounds once.
 
 The two per-shape ceilings, taken at sigma_* = 1, share one form,
 W(s) <= d a^{2 m1} c^{2(m2-1)} with c = sigma_C / sigma_*, and differ only in
@@ -54,6 +55,7 @@ from .params import _once, normalized_params, normalized_schatten_params
 from .profile import ResourceLimitError, VarianceProfile, _float
 
 DEFAULT_SHAPE_CAP = 8
+_QUOTIENTS: dict[tuple, tuple] = {}  # each distinct quotient once, shared by every shape's table
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,11 @@ def W_value(s: Shape, B: VarianceProfile):
 
 
 def _weight(s: Shape, B: VarianceProfile) -> Fraction:
-    """W(s) as an exact rational, for either kind of profile."""
+    """W(s) as an exact rational, for either kind of profile; once per profile."""
     if s.m2 > B.d or s.m1 > B.n:
         return Fraction(0)
-    total = sum(coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s).items())
-    return Fraction(total, B.numerators[1] ** (2 * s.p))
+    return _once(B, ("W", s), lambda B: Fraction(sum(
+        coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s)), B.numerators[1] ** (2 * s.p)))
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +209,11 @@ def _set_partitions(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def _quotient_table(s: Shape) -> dict[tuple, int]:
-    """{quotient: sum of mu(pi) mu(sigma) over the label partitions giving it},
-    zero coefficients dropped.  A quotient is its sorted ((left block, right
-    block), multiplicity) edges.  Depends on the shape only."""
+@lru_cache(maxsize=None)
+def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
+    """(quotient, sum of mu(pi) mu(sigma) over the label partitions giving it)
+    pairs, zero coefficients dropped.  A quotient is its sorted ((left block,
+    right block), multiplicity) edges.  Depends on the shape only."""
     edges = list(s.edge_mult.items())
     rights = _set_partitions(s.m1)
     table: dict[tuple, int] = defaultdict(int)
@@ -220,17 +223,48 @@ def _quotient_table(s: Shape) -> dict[tuple, int]:
             for (i, j), k in edges:
                 merged[left[i - 1], right[j - 1]] += k
             table[tuple(sorted(merged.items()))] += mu_left * mu_right
-    return {q: coef for q, coef in table.items() if coef}
+    return tuple((_QUOTIENTS.setdefault(q, q), coef) for q, coef in table.items() if coef)
+
+
+@lru_cache(maxsize=None)
+def _plan(edges: tuple[tuple[int, int], ...], d: int, n: int) -> tuple[tuple, ...]:
+    """Variable elimination steps for hom over a quotient with these (left
+    block, right block) edges on a d x n profile.  Factors are the edges, then
+    each step's result.  A step sums out the block whose factors span the
+    fewest cells: (its factors, their einsum subscripts, the block's side if
+    they are all edges, else None).  A quotient of a closed path is connected,
+    so only the last step sums out every block left and gives hom."""
+    scopes, steps = [((0, a), (1, b)) for a, b in edges], []
+
+    def span(v):
+        inputs = tuple(i for i, scope in enumerate(scopes) if v in scope)
+        union = tuple(dict.fromkeys(sum((scopes[i] for i in inputs), ())))
+        return math.prod((d, n)[side] for side, _ in union), v, inputs, union
+
+    while blocks := set(sum(scopes, ())):
+        _, v, inputs, union = min(map(span, blocks))
+        letter = dict(zip(union, string.ascii_letters))
+        out = tuple(u for u in union if u != v)
+        terms = ",".join("".join(letter[u] for u in scopes[i]) for i in inputs)
+        side = v[0] if max(inputs) < len(edges) else None
+        steps.append((inputs, terms + "->" + "".join(letter[u] for u in out), side))
+        scopes = [() if i in inputs else scope for i, scope in enumerate(scopes)] + [out]
+    return tuple(steps)
 
 
 def _hom(B: VarianceProfile, quotient: tuple) -> int:
     """sum over all maps of left blocks into rows and right blocks into
-    columns of prod_e N^{k_e}: one einsum, left blocks first in the letters."""
-    left = 1 + max(a for (a, _), _ in quotient)
-    letters = string.ascii_letters
-    subscripts = ",".join(letters[a] + letters[left + b] for (a, b), _ in quotient)
-    powers = (_once(B, ("power", k), lambda B, k: B.numerators[0] ** k, k) for _, k in quotient)
-    return int(np.einsum(subscripts + "->", *powers, optimize=True, dtype=object))
+    columns of prod_e N^{k_e}, along the plan for the quotient's edges.  A step
+    over edges alone, a star, is kept on the profile by side and multiplicities."""
+    edges, ks = zip(*quotient)
+    factors = [_once(B, ("power", k), lambda B, k: B.numerators[0] ** k, k) for k in ks]
+    for inputs, subscripts, side in _plan(edges, B.d, B.n):
+        operands = [factors[i] for i in inputs]
+        contract = lambda B: np.einsum(subscripts, *operands, dtype=object)  # noqa: E731
+        star = side is not None and ("star", side, tuple(ks[i] for i in inputs))
+        factors.append(_once(B, star, contract) if star else contract(B))
+    assert type(factors[-1]) is int, type(factors[-1])
+    return factors[-1]
 
 
 def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE_CAP):

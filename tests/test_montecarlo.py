@@ -352,11 +352,15 @@ class TestOnePass:
 
     def test_interrupt_in_calling_thread_joins_the_workers(self, monkeypatch):
         eig, interrupted, solved = np.linalg.eigvalsh, threading.Event(), []
+        begun = threading.Barrier(3, timeout=10)  # chunks 0, 1 and 2 have all reached eigvalsh
 
         def interrupt_main_thread(M):
             if threading.current_thread() is threading.main_thread():
+                begun.wait()
                 interrupted.set()
                 raise KeyboardInterrupt
+            if not interrupted.is_set():
+                begun.wait()
             assert interrupted.wait(10)
             time.sleep(0.05)  # let the calling thread record its failed chunk 0
             solved.append(len(M))

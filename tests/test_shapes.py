@@ -1,4 +1,5 @@
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -413,6 +414,60 @@ class TestWAgainstInjectiveMaps:
         want = (3**6 + 16**6 + 72**6) ** 2
         assert want >= 2**63
         assert type(got) is int and got == want
+
+
+def hom_reference(B, quotient):
+    """hom by one unoptimised einsum over every block at once, in Python ints."""
+    left = 1 + max(a for (a, _), _ in quotient)
+    subscripts = ",".join(string.ascii_letters[a] + string.ascii_letters[left + b] for (a, b), _ in quotient)
+    return np.einsum(subscripts + "->", *(B.numerators[0] ** k for _, k in quotient), dtype=object)
+
+
+QUOTIENTS_UP_TO_6 = sorted({q for p in range(1, 7) for s in enumerate_shapes(p) for q, _ in shapes._quotient_table(s)})
+
+
+def _near_int64_limit(rng):
+    return VarianceProfile([[Fraction(2**63 - int(rng.integers(1, 2**20))) for _ in range(5)] for _ in range(5)],
+                           exact=True)
+
+
+def _zero_row_and_column(rng):
+    rows = [list(r) for r in entries(rational_profile(rng, 4, 4, max_num=9))]
+    rows[1] = [Fraction(0)] * 4
+    for row in rows:
+        row[2] = Fraction(0)
+    return VarianceProfile(rows, exact=True)
+
+
+class TestHomContraction:
+    """The planned contraction against one unoptimised einsum, on every
+    quotient of every shape up to p = 6."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: VarianceProfile(THIN, exact=True),
+        lambda rng: VarianceProfile([[x[0] for x in THIN]], exact=True),
+        _near_int64_limit,
+        _zero_row_and_column,
+        lambda rng: float_profile(rng, 4, 3),
+    ], ids=["3x1", "1x3", "5x5-near-2^63", "zero-row-and-column", "4x3-float"])
+    def test_every_quotient_up_to_p6(self, make):
+        B = make(np.random.default_rng(14))
+        for q in QUOTIENTS_UP_TO_6:
+            got = shapes._hom(B, q)
+            assert type(got) is int and got == hom_reference(B, q), q
+
+    def test_plans_depend_on_the_size_only(self):
+        rng = np.random.default_rng(15)
+        A, B = rational_profile(rng, 3, 4), rational_profile(rng, 3, 4, max_num=50)
+        assert A != B
+        for q in QUOTIENTS_UP_TO_6:
+            shapes._hom(A, q)
+        before = shapes._plan.cache_info()
+        for q in QUOTIENTS_UP_TO_6:
+            shapes._hom(B, q)
+        after = shapes._plan.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(QUOTIENTS_UP_TO_6)
 
 
 class TestWFloat:

@@ -108,6 +108,14 @@ def _log_term(x: int, cfg: BoundConfig) -> float:
     return max(L, 1.0) if cfg.log_floor == "floored" else L
 
 
+def _square(x: float) -> float:
+    """x**2, inf where it passes the float range (float ** raises OverflowError there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _zero_warning(B: VarianceProfile) -> list[str]:
     return ["all-zero profile: bound degenerates to 0"] if B.is_zero else []
 
@@ -146,7 +154,7 @@ def main_upper_bound(
         lead_main = 2 * P.sigma_tilde_inf * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
         leading = one_eps * (lead_main + P.sigma_C**2)
         sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_bar_inf) * math.sqrt(L)
-    log_term = one_eps * ce**2 * P.sigma_star**2 * L
+    log_term = one_eps * _square(ce) * P.sigma_star**2 * L
     return _report(
         "main_upper_bound", case, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
@@ -207,7 +215,7 @@ def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport
     L = _log_term(min(B.n, B.d), cfg)
     leading = one_eps * (2 * P.sigma_R * P.sigma_C + P.sigma_C**2)
     sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_R * P.sigma_star) * math.sqrt(L)
-    log_term = one_eps * ce**2 * P.sigma_star**2 * L
+    log_term = one_eps * _square(ce) * P.sigma_star**2 * L
     return _report(
         "chz_bound", CASE_NA, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),

@@ -49,11 +49,17 @@ def _float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
+_CONTROL = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """JSON with 17-significant-digit floats and insertion-ordered keys.
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" (from the beta
-    conventions, or a parameter or bound beyond the float64 range).
+    conventions, or a parameter or bound beyond the float64 range).  Strings
+    escape control characters and lone surrogates (undecodable argv bytes
+    become those) as \\uXXXX, so the output is JSON in strict UTF-8; every
+    other character is written as is.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -67,7 +73,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return _float_repr(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+        if not out.isprintable():
+            out = out.translate(_CONTROL).encode("utf-8", "backslashreplace").decode()
         return f'"{out}"'
     if isinstance(obj, Fraction):  # through Decimal, which prints ints of any length
         text = str(Decimal(obj.numerator))

@@ -5,7 +5,9 @@ paths u_1 -> v_1 -> u_2 -> ... -> v_p -> u_1 with left labels u in [d] and
 right labels v in [n].  The *shape* of a path relabels each side by order of
 first appearance; the set S collects the shapes with u_k != u_{k+1} for all k
 (cyclically, u_{p+1} = u_1) in which every edge is traversed at least twice.
-Each shape carries
+enumerate_shapes lists S by one depth-first walk over the 2p half-steps, each
+side's labels a restricted-growth string (Knuth, TAOCP 4A, 7.2.1.5).  Each
+shape carries
 
     L(s) = prod_e mu(k_e)   with mu(k) = (k-1)!! for even k, else 0,
     W(s) = sum over injective label assignments of prod_e b_{w(i) t(j)}^{k_e},
@@ -99,10 +101,12 @@ class Shape:
 def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
     """All shapes of S at half-length p, in deterministic DFS order.
 
-    Builds canonical sequences directly (the next label is one of the labels
-    already used or the next fresh one) and prunes a branch as soon as the
-    number of edges still traversed only once exceeds the remaining traversal
-    slots.  p above the cap raises ResourceLimitError.
+    One recursive walk over the 2p half-steps: half-step 2k picks v_k, then
+    2k+1 picks u_{k+1} != u_k, each in increasing order from the labels
+    already used on its side and the next fresh one; the last u is forced
+    back to u_1 = 1.  A branch is pruned as soon as more edges are traversed
+    exactly once than half-steps are left, so a walk that reaches 2p has
+    every edge at least twice.  p above the cap raises ResourceLimitError.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -110,63 +114,29 @@ def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
         raise ResourceLimitError(f"shape order {p} above cap {cap}")
 
     shapes: list[Shape] = []
-    u_seq = [1]
-    v_seq: list[int] = []
-    mult: dict[tuple[int, int], int] = {}
-    state = {"deficit": 0}
+    u, v = [1], []
+    mult: dict[tuple[int, int], int] = {}  # traversals so far per edge (left label, right label)
 
-    def add(e):
-        c = mult.get(e, 0)
-        if c == 0:
-            state["deficit"] += 1
-        elif c == 1:
-            state["deficit"] -= 1
-        mult[e] = c + 1
-
-    def remove(e):
-        c = mult[e]
-        if c == 1:
-            state["deficit"] -= 1
-            del mult[e]
-        else:
-            if c == 2:
-                state["deficit"] += 1
-            mult[e] = c - 1
-
-    def choose_right(k: int):
-        top = max(v_seq, default=0)
-        for t in range(1, top + 2):
-            v_seq.append(t)
-            e = (u_seq[k], t)
-            add(e)
-            if state["deficit"] <= 2 * p - (2 * k + 1):
-                choose_left(k)
-            remove(e)
-            v_seq.pop()
-
-    def choose_left(k: int):
-        if k == p - 1:
-            # u_{p+1} = u_1 is forced; the cyclic constraint needs u_p != u_1
-            if u_seq[k] != 1:
-                e = (1, v_seq[k])
-                add(e)
-                if state["deficit"] == 0:
-                    shapes.append(Shape(tuple(u_seq), tuple(v_seq)))
-                remove(e)
+    def walk(h: int, once: int) -> None:
+        """Take half-step h of a path whose edges so far include `once` traversed exactly once."""
+        if h == 2 * p:
+            shapes.append(Shape(tuple(u[:p]), tuple(v)))
             return
-        top = max(u_seq)
-        for w in range(1, top + 2):
-            if w == u_seq[k]:
+        k, odd = divmod(h, 2)
+        seq = u if odd else v
+        for label in (1,) if h == 2 * p - 1 else range(1, max(seq, default=0) + 2):
+            if odd and label == u[k]:
                 continue
-            u_seq.append(w)
-            e = (w, v_seq[k])
-            add(e)
-            if state["deficit"] <= 2 * p - (2 * k + 2):
-                choose_right(k + 1)
-            remove(e)
-            u_seq.pop()
+            e = (label, v[k]) if odd else (u[k], label)
+            c = mult.get(e, 0)
+            mult[e] = c + 1
+            if (after := once + (c == 0) - (c == 1)) < 2 * p - h:
+                seq.append(label)
+                walk(h + 1, after)
+                seq.pop()
+            mult[e] = c
 
-    choose_right(0)
+    walk(0, 0)
     return shapes
 
 
@@ -267,13 +237,13 @@ def _hom(B: VarianceProfile, quotient: tuple) -> int:
     return factors[-1]
 
 
-def trace_moment_via_shapes(B: VarianceProfile, p: int, cap: int = DEFAULT_SHAPE_CAP):
+def trace_moment_via_shapes(B: VarianceProfile, p: int):
     """sum_{s in S} L(s) W(s); equals oracle.offdiag_trace_moment.
 
     The sum is taken exactly over the exact weights and rounded once for a
     float profile, so it is the correctly rounded value, as the oracle's.
     """
-    total = sum((ell * _weight(s, B) for s in enumerate_shapes(p, cap=cap) if (ell := L_value(s))), Fraction(0))
+    total = sum((ell * _weight(s, B) for s in enumerate_shapes(p) if (ell := L_value(s))), Fraction(0))
     return total if B.exact else _float(total)
 
 

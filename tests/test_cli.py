@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,16 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("arg", [b"\x01", b"\xff"])  # a control character, a byte that is not UTF-8
+    def test_unprintable_argument_gives_strict_utf8_json(self, arg):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "covdev.cli", "params", "--family", "constant", "--d", "2", "--n", "2"]
+        run = subprocess.run([*map(os.fsencode, argv), arg], capture_output=True, env=env, timeout=60)
+        assert run.returncode == 2
+        envelope = json.loads(run.stdout.decode("utf-8"))  # strict: a raw surrogate byte would raise
+        assert envelope["payload"]["error"]["message"] == "unrecognized arguments: " + os.fsdecode(arg)
+
 
 class TestBoundsCommand:
     def test_family_digest_hashes_the_csv_text(self, capsys):
@@ -216,6 +230,21 @@ class TestFloatRangeEdge:
         assert all(r["total"] == "inf" for r in reports)
         assert [r["case_taken"] for r in reports] == [r["case_taken"] for r in unit_reports]
         assert reports[0]["case_taken"] == "beta_gt_1"
+
+    @pytest.mark.parametrize("option", [("--epsilon", "1e-320"), ("--const", "1e200")])
+    def test_c_eps_squared_beyond_float_range_is_inf(self, capsys, option):
+        family = ("--family", "constant", "--d", "2", "--n", "2")
+        status, out, err = run_cli(capsys, "bounds", *family, *option)
+        assert status == 0 and "Traceback" not in err
+        totals = {r["bound_name"]: r["total"] for r in payload_of(out)["reports"]}
+        assert totals["main_upper_bound"] == totals["chz_bound"] == "inf"
+        status, out, err = run_cli(capsys, "examples", "--family", "rank_one", "--grid", "3x5,4x4", *option)
+        assert status == 0 and "Traceback" not in err
+        assert len(payload_of(out)["grid"]) == 2
+        status, out, err = run_cli(capsys, "compare", *family, "--samples", "10", *option)
+        assert status == 0 and "Traceback" not in err
+        bounds = payload_of(out)["bounds"]
+        assert bounds["main_upper_bound"]["total"] == bounds["chz_bound"]["total"] == "inf"
 
 
 class TestSimulateCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import string
 from dataclasses import dataclass
@@ -188,6 +189,17 @@ def brute_force_shape_set(p):
     return found
 
 
+def restricted_growth_shape_set(p):
+    """Independent enumeration over canonical labellings only: every pair of
+    restricted-growth strings of length p (Bell(p)^2 candidates), filtered to
+    the cyclically left-distinct, even ones."""
+    strings = [()]
+    for _ in range(p):
+        strings = [r + (x,) for r in strings for x in range(1, max(r, default=0) + 2)]
+    lefts = [u for u in strings if all(u[k] != u[(k + 1) % p] for k in range(p))]
+    return {(u, v) for u in lefts for v in strings if is_even(Shape(u, v))}
+
+
 class TestShapeOf:
     def test_worked_example(self):
         s = shape_of((3, 4, 3, 4), (2, 1, 1, 5))
@@ -227,6 +239,12 @@ class TestShapeOf:
         assert sum(s.edge_mult.values()) == 2 * p
 
 
+ORDER_SHA256 = {
+    7: "fcadea381742a225f96be449b852d9615e88c996af605d1f9d7c41fb2a2f0dc3",
+    8: "68136636400688812eb6d846d0ab8418d42cd827a68c062c16302fc4525a59b5",
+}
+
+
 class TestEnumerate:
     def test_p1_empty(self):
         assert enumerate_shapes(1) == []
@@ -249,11 +267,18 @@ class TestEnumerate:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_matches_brute_force(self, p):
         got = {(s.left_seq, s.right_seq) for s in enumerate_shapes(p)}
-        assert got == brute_force_shape_set(p)
+        assert got == brute_force_shape_set(p) == restricted_growth_shape_set(p)
 
     def test_matches_brute_force_p5(self):
+        """Against the restricted-growth reference, which the test above checks
+        against the brute force over all of [p]^p x [p]^p."""
         got = {(s.left_seq, s.right_seq) for s in enumerate_shapes(5)}
-        assert got == brute_force_shape_set(5)
+        assert got == restricted_growth_shape_set(5)
+
+    @pytest.mark.parametrize("p", [6, 7])
+    def test_matches_restricted_growth_reference(self, p):
+        got = {(s.left_seq, s.right_seq) for s in enumerate_shapes(p)}
+        assert got == restricted_growth_shape_set(p)
 
     def test_structural_invariants_up_to_p6(self):
         for p in range(2, 7):
@@ -274,6 +299,13 @@ class TestEnumerate:
         a = [(s.left_seq, s.right_seq) for s in enumerate_shapes(5)]
         b = [(s.left_seq, s.right_seq) for s in enumerate_shapes(5)]
         assert a == b
+
+    @pytest.mark.parametrize("p", sorted(ORDER_SHA256))
+    def test_order_pinned(self, p):
+        """The census order, which the CLI's shape listings follow, as the
+        SHA-256 of the repr of its (left_seq, right_seq) list."""
+        order = [(s.left_seq, s.right_seq) for s in enumerate_shapes(p)]
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == ORDER_SHA256[p]
 
 
 class TestLValue:

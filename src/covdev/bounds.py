@@ -116,6 +116,11 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _product(*factors: float) -> float:
+    """Their product, 0 when a factor is 0 even where another is inf (0 * inf is nan)."""
+    return 0.0 if 0 in factors else math.prod(factors)
+
+
 def _zero_warning(B: VarianceProfile) -> list[str]:
     return ["all-zero profile: bound degenerates to 0"] if B.is_zero else []
 
@@ -149,12 +154,12 @@ def main_upper_bound(
     if case == CASE_LE:
         ratio = P.sigma_inf / P.sigma_C if P.sigma_C > 0 else 0.0
         leading = one_eps * (2 * P.sigma_inf + P.sigma_C**2)
-        sqrt_log = one_eps * ce * P.sigma_star * (P.sigma_C + ratio) * math.sqrt(L)
+        sqrt_log = _product(one_eps, ce, P.sigma_star, P.sigma_C + ratio, math.sqrt(L))
     else:
         lead_main = 2 * P.sigma_tilde_inf * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
         leading = one_eps * (lead_main + P.sigma_C**2)
-        sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_bar_inf) * math.sqrt(L)
-    log_term = one_eps * _square(ce) * P.sigma_star**2 * L
+        sqrt_log = _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_bar_inf, math.sqrt(L))
+    log_term = _product(one_eps, _square(ce), P.sigma_star**2, L)
     return _report(
         "main_upper_bound", case, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
@@ -214,8 +219,8 @@ def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport
     ce = cfg.c_eps()
     L = _log_term(min(B.n, B.d), cfg)
     leading = one_eps * (2 * P.sigma_R * P.sigma_C + P.sigma_C**2)
-    sqrt_log = one_eps * ce * (P.sigma_C * P.sigma_star + P.sigma_R * P.sigma_star) * math.sqrt(L)
-    log_term = one_eps * _square(ce) * P.sigma_star**2 * L
+    sqrt_log = _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_R * P.sigma_star, math.sqrt(L))
+    log_term = _product(one_eps, _square(ce), P.sigma_star**2, L)
     return _report(
         "chz_bound", CASE_NA, e, leading,
         [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),

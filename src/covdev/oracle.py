@@ -16,16 +16,18 @@ integers over the common denominator D of the entries (the profile's
 value of each float64 cell (D is a power of two) and is rounded once at the
 end, so its moments are correctly rounded.
 
-The off-diagonal and full moments walk the closed paths u_1 -> v_1 -> u_2
--> ... -> v_p -> u_1 depth first over concrete labels, keeping the plain
-and centered traversal counts of each cell.  A cell is unfinished while its
-expectation a_{plain, centered} is zero as it stands.  A branch is pruned
-when it reaches a zero cell, when more cells are unfinished than half-steps
-remain, or when the forced return to u_1 does not finish exactly the
-unfinished cells.  Work is capped by a count, not by time, so resource
-errors are deterministic: walk nodes (one per cell traversal added) for
-these two moments, multiply-adds for the diagonal one, whose row moments are
-convolved one column at a time.
+The off-diagonal and full moments sum over the closed paths u_1 -> v_1 ->
+u_2 -> ... -> v_p -> u_1.  The p rotations of a path traverse the same cells
+as often, so they have one term: only the paths with u_1 = min_k u_k are
+walked, each weighted by p/c with c = #{k : u_k = u_1}.  The walk goes depth
+first over concrete labels, keeping the plain and centered traversal counts
+of each cell.  A cell is unfinished while its expectation a_{plain, centered}
+is zero as it stands.  A branch is pruned when it reaches a zero cell, when
+more cells are unfinished than half-steps remain, or when the forced return
+to u_1 does not finish exactly the unfinished cells.  Work is capped by a
+count, not by time, so resource errors are deterministic: walk nodes (one
+per cell traversal added) for these two moments, multiply-adds for the
+diagonal one, whose row moments are convolved one column at a time.
 """
 
 from __future__ import annotations
@@ -76,79 +78,86 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> int:
     """D^{2p} times the sum over closed paths of the expectation of their entry
     product.  A step u_k -> v_k -> u_{k+1} is two half-steps, each a plain
     traversal (a factor b g) of a cell; with diagonal steps on, u_{k+1} = u_k
-    is one centered traversal of (u_k, v_k), a factor b^2 (g^2 - 1)."""
+    is one centered traversal of (u_k, v_k), a factor b^2 (g^2 - 1).
+
+    Only paths with every u_k >= u_1 are walked, their terms summed into T_c
+    by c = #{k : u_k = u_1}, and the sum is sum_c p T_c / c.  Pairing a path
+    with each shift that brings a minimal row to the front is a bijection
+    onto (walked path, any of p shifts), periodic paths included, so each c
+    class sums to p T_c / c, an integer."""
     if p < 1:
         raise ValueError("p must be >= 1")
     n = B.n
-    N = B.numerators[0].ravel().tolist()  # cell c = (c // n, c % n)
+    N = B.numerators[0].ravel().tolist()  # cell a = (a // n, a % n)
     plain, cent = [0] * len(N), [0] * len(N)
     unfinished: set[int] = set()
     path: list[int] = []
-    total = nodes = first = 0  # first: u_1 of the paths being walked
+    totals = [0] * (p + 1)  # T_c: the canonical paths' sum, by c = #{k : u_k = u_1}
+    nodes = first = 0  # first: u_1 = min_k u_k of the paths being walked
 
-    def move(c: int, dp: int, dc: int) -> None:
-        """Add (or, negative, take back) traversals of cell c: one walk node."""
+    def move(a: int, dp: int, dc: int) -> None:
+        """Add (or, negative, take back) traversals of cell a: one walk node."""
         nonlocal nodes
-        x = plain[c] = plain[c] + dp
-        y = cent[c] = cent[c] + dc
+        x = plain[a] = plain[a] + dp
+        y = cent[a] = cent[a] + dc
         if x & 1 or (x == 0 and y == 1):
-            unfinished.add(c)
+            unfinished.add(a)
         else:
-            unfinished.discard(c)
+            unfinished.discard(a)
         if dp + dc < 0:
             path.pop()
             return
-        path.append(c)
+        path.append(a)
         nodes += 1
         if nodes > cap:
             raise ResourceLimitError(f"direct expansion visits more than {cap} walk nodes")
 
-    def finish(steps: list[tuple[int, int, int]]) -> None:
-        nonlocal total
+    def finish(steps: list[tuple[int, int, int]], c: int) -> None:
         for step in steps:
             move(*step)
         if not unfinished:
             term = 1
-            for c in set(path):
-                term *= N[c] ** (plain[c] + 2 * cent[c]) * joint_moment(plain[c], cent[c])
-            total += term
-        for c, dp, dc in reversed(steps):
-            move(c, -dp, -dc)
+            for a in set(path):
+                term *= N[a] ** (plain[a] + 2 * cent[a]) * joint_moment(plain[a], cent[a])
+            totals[c] += term
+        for a, dp, dc in reversed(steps):
+            move(a, -dp, -dc)
 
-    def walk(k: int, u: int) -> None:
-        """Extend the path u_1 .. u_k = u, with 2(p - k + 1) half-steps left;
-        each unfinished cell needs at least one of them."""
+    def walk(k: int, u: int, c: int) -> None:
+        """Extend the path u_1 .. u_k = u, c of whose rows are u_1, with
+        2(p - k + 1) half-steps left; each unfinished cell needs one of them."""
         left = 2 * (p - k)  # half-steps left after the step u_k -> v_k -> u_{k+1}
         if k == p:  # the return to u_1 must finish every unfinished cell
             if u != first and len(unfinished) == 2:  # so v_p is their column
                 v = next(iter(unfinished)) % n
-                finish([(u * n + v, 1, 0), (first * n + v, 1, 0)])
+                finish([(u * n + v, 1, 0), (first * n + v, 1, 0)], c)
             elif u == first and diagonal and len(unfinished) <= 1:
-                for c in list(unfinished) or range(u * n, u * n + n):
-                    if c // n == u:
-                        finish([(c, 0, 1)])
+                for a in list(unfinished) or range(u * n, u * n + n):
+                    if a // n == u:
+                        finish([(a, 0, 1)], c)
             return
         for a in range(u * n, u * n + n):
             if not N[a]:
                 continue
             move(a, 1, 0)
             if len(unfinished) <= left + 1:
-                for b in range(a % n, len(N), n):
+                for b in range(first * n + a % n, len(N), n):  # rows u_{k+1} >= u_1
                     if b != a and N[b]:
                         move(b, 1, 0)
                         if len(unfinished) <= left:
-                            walk(k + 1, b // n)
+                            walk(k + 1, b // n, c + (b // n == first))
                         move(b, -1, 0)
             move(a, -1, 0)
             if diagonal:
                 move(a, 0, 1)
                 if len(unfinished) <= left:
-                    walk(k + 1, u)
+                    walk(k + 1, u, c + (u == first))
                 move(a, 0, -1)
 
     for first in range(B.d):
-        walk(1, first)
-    return total
+        walk(1, first, 1)
+    assert all(p * t % c == 0 for c, t in enumerate(totals) if c), "a rotation class was not walked whole"
+    return sum(p * t // c for c, t in enumerate(totals) if c)
 
 
 def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:

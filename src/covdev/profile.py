@@ -175,7 +175,10 @@ def _parse_cell(text: str) -> Entry:
         raise ValueError("empty cell")
     if "/" in s:
         num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
+        p, q = int(num), int(den)
+        if not q:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(p, q)
     try:
         return Fraction(int(s))
     except ValueError:
@@ -205,7 +208,7 @@ def _from_cells(numbered: list[tuple[int, object]], split, unit: str) -> Varianc
         for cell in cells:
             try:
                 row.append(_parse_cell(cell))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ProfileFormatError(f"{unit} {k}: bad cell {cell.strip()!r}", line=k) from exc
         parsed.append(row)
     if any(isinstance(x, float) for row in parsed for x in row):

@@ -124,6 +124,16 @@ class TestParamsCommand:
         assert payload_of(out)["error"] == {"type": "ValueError", "message": message}
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family, extra, cell", [
+        ("iid_rows", ("--b", "1,1/0"), "1/0"),
+        ("rank_one", ("--a", "0/0", "--b", "1,1"), "0/0"),
+    ])
+    def test_family_vector_zero_denominator_exit_2(self, capsys, family, extra, cell):
+        status, out, err = run_cli(capsys, "params", "--family", family, "--d", "2", "--n", "2", *extra)
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "ValueError", "message": f"zero denominator in {cell!r}"}
+        assert "Traceback" not in err
+
     def test_envelope_fields(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "params", "--profile", profile_file)
         env = json.loads(out)
@@ -245,6 +255,23 @@ class TestFloatRangeEdge:
         assert status == 0 and "Traceback" not in err
         bounds = payload_of(out)["bounds"]
         assert bounds["main_upper_bound"]["total"] == bounds["chz_bound"]["total"] == "inf"
+
+    @pytest.mark.parametrize("const, zero", [("1e200", False), ("1e308", False), ("1e200", True)])
+    def test_zero_factor_beside_infinite_c_eps_is_finite(self, capsys, tmp_path, const, zero):
+        # C(eps)^2 is inf at 1e200 (C(eps) too at 1e308); d = 1 gives L = log 1 = 0,
+        # and the all-zero profile sigma_* = 0, so the terms are 0, not 0 * inf
+        source = ("--family", "constant", "--d", "1", "--n", "3")
+        if zero:
+            path = tmp_path / "zero.csv"
+            path.write_text("0,0\n0,0\n")
+            source = ("--profile", str(path))
+        status, out, err = run_cli(capsys, "bounds", *source, "--const", const)
+        assert status == 0 and "Traceback" not in err and '"nan"' not in out
+        reports = {r["bound_name"]: r for r in payload_of(out)["reports"]}
+        for name in ("main_upper_bound", "chz_bound"):
+            assert dict(reports[name]["error_terms"]) == {"sqrt_log": 0, "log": 0}
+            assert reports[name]["total"] == reports[name]["leading_term"]
+        assert all(math.isfinite(t) for t in reports["main_upper_bound"]["branch_totals"].values())
 
 
 class TestSimulateCommand:

@@ -356,3 +356,11 @@ class TestWalkCap:
             messages.add(str(info.value))
         assert messages == {"direct expansion visits more than 100 walk nodes"}
         assert full_trace_moment(B, 4, cap=10**4).value == full_by_product(B, 4)
+
+    @pytest.mark.parametrize("moment, nodes", [(offdiag_trace_moment, 3472), (full_trace_moment, 9480)])
+    def test_walk_visits_one_rotation_per_path(self, moment, nodes):
+        # walking all p rotations of each path takes 9,280 and 21,808 nodes here
+        B = generate(ProfileFamily.constant(), 4, 4)
+        with pytest.raises(ResourceLimitError, match=f"more than {nodes - 1} walk nodes"):
+            moment(B, 4, cap=nodes - 1)
+        assert moment(B, 4, cap=nodes) == moment(B, 4)

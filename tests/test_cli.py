@@ -134,6 +134,36 @@ class TestParamsCommand:
         assert payload_of(out)["error"] == {"type": "ValueError", "message": f"zero denominator in {cell!r}"}
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, kind, message", [
+        (("iid_columns", "--d", "3", "--n", "2", "--b", "1,2"), "ValueError", "iid_columns needs a length-3 vector"),
+        (("iid_rows", "--d", "2", "--n", "3", "--b", "1,2"), "ValueError", "iid_rows needs a length-3 vector"),
+        (("rank_one", "--d", "2", "--n", "3", "--a", "1,2", "--b", "1,2"), "ValueError",
+         "rank_one needs vectors of lengths 2 and 3"),
+        (("rank_one", "--d", "3", "--n", "2", "--a", "1,2", "--b", "1,2"), "ValueError",
+         "rank_one needs vectors of lengths 3 and 2"),
+        (("constant", "--d", "0", "--n", "2"), "ProfileDomainError", "d and n must be positive"),
+        (("iid_rows", "--d", "2", "--n", "0", "--b", "1"), "ProfileDomainError", "d and n must be positive"),
+        (("bounded_ratio", "--d", "0", "--n", "2", "--K", "2", "--profile", "@"), "ProfileDomainError",
+         "d and n must be positive"),
+        (("iid_columns", "--d", "2", "--n", "2", "--b", "1,-2"), "ProfileDomainError",
+         "family vectors must be nonnegative"),
+        (("rank_one", "--d", "2", "--n", "2", "--a=-0.5,1", "--b", "1,2"), "ProfileDomainError",
+         "family vectors must be nonnegative"),
+        (("bounded_ratio", "--d", "2", "--n", "2", "--K", "0.5", "--profile", "@"), "ValueError",
+         "bounded_ratio requires K >= 1"),
+        (("bounded_ratio", "--d", "2", "--n", "2", "--K", "nan", "--profile", "@"), "ValueError",
+         "bounded_ratio requires K >= 1"),
+        (("bounded_ratio", "--d", "2", "--n", "3", "--K", "2", "--profile", "@"), "ValueError",
+         "bounded_ratio needs a base profile of matching dimensions"),
+    ])
+    def test_family_input_fault_exit_2(self, capsys, profile_file, argv, kind, message):
+        # "@" stands for the 2x2 base profile
+        args = [profile_file if a == "@" else a for a in argv]
+        status, out, err = run_cli(capsys, "params", "--family", *args)
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": kind, "message": message}
+        assert "Traceback" not in err
+
     def test_envelope_fields(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "params", "--profile", profile_file)
         env = json.loads(out)

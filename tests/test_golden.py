@@ -48,8 +48,15 @@ CASES = {
     "bounds_iid_rows": ("bounds", "--family", "iid_rows", "--d", "3", "--n", "4",
                         "--b", "0.5,1.5,2,1", "--p", "2", "--log-floor"),
     "bounds_exact_file": ("bounds", "--profile", "@ratio4.csv", "--p", "2,4,6"),
+    "examples_constant": ("examples", "--family", "constant", "--grid", "3x5,6x4", "--seed", "2"),
+    "examples_iid_columns": ("examples", "--family", "iid_columns", "--grid", "3x5,6x4", "--seed", "7"),
+    "examples_iid_rows": ("examples", "--family", "iid_rows", "--grid", "3x5,6x4", "--seed", "11"),
     "examples_rank_one": ("examples", "--family", "rank_one", "--grid", "3x5,6x4,4x4", "--seed", "3"),
     "examples_bounded_ratio": ("examples", "--family", "bounded_ratio", "--grid", "3x5,6x4", "--seed", "5"),
+    "params_bounded_ratio": ("params", "--family", "bounded_ratio", "--d", "3", "--n", "3", "--K", "2",
+                             "--profile", "@ratio.csv"),
+    "params_rank_one_past_int64": ("params", "--family", "rank_one", "--d", "2", "--n", "2",
+                                   "--a", "4294967296,1", "--b", "4294967296,3"),
     "oracle_shape_sum": ("oracle", "--profile", "@ratio.csv", "--p", "2,4", "--shape-sum"),
     "oracle_shape_sum_float": ("oracle", "--profile", "@float2.csv", "--p", "6", "--shape-sum"),
     "shapes_p4": ("shapes", "--p", "4", "--profile", "@ratio.csv"),

@@ -42,12 +42,12 @@ from .params import (
 )
 from .profile import (
     ProfileDomainError,
-    ProfileFamily,
     ProfileFormatError,
     ResourceLimitError,
     VarianceProfile,
-    generate,
+    bounded_ratio,
     load_profile,
+    rank_one,
 )
 from .shapes import (
     CeilingWitness,
@@ -62,7 +62,7 @@ from .shapes import (
 
 __all__ = [
     "__version__",
-    "VarianceProfile", "ProfileFamily", "load_profile", "generate",
+    "VarianceProfile", "load_profile", "rank_one", "bounded_ratio",
     "ProfileFormatError", "ProfileDomainError", "ResourceLimitError",
     "ProfileParams", "SchattenParams", "compute_params", "compute_schatten_params",
     "BoundConfig", "BoundReport", "main_upper_bound", "schatten_upper_bound", "diagonal_bound",

@@ -4,7 +4,7 @@ Every subcommand prints one JSON report envelope on stdout; diagnostics go
 to stderr.  Exit status: 0 success, 1 verification failure, 2 input or
 resource error (including a command line the parser rejects, an eigensolver
 failure, running out of memory or out of recursion depth), always with a JSON
-error envelope.
+error envelope, or a stdout closed before the envelope is written.
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
 envelope timestamp is the only varying field).
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -29,13 +30,15 @@ import numpy as np
 from . import __version__, bounds, montecarlo, oracle, shapes
 from .params import compute_params, compute_schatten_params
 from .profile import (
-    ProfileFamily,
+    ProfileDomainError,
     ResourceLimitError,
     VarianceProfile,
+    _as_entry_vector,
     _float,
     _parse_cell,
-    generate,
+    bounded_ratio,
     load_profile,
+    rank_one,
 )
 
 # --- canonical JSON ------------------------------------------------------
@@ -150,35 +153,56 @@ def _read_profile(args) -> tuple[VarianceProfile, bytes]:
     return load_profile(raw, format=fmt), raw
 
 
-# each --family: the options it reads besides --d and --n, and its family built from them
+# the options each --family reads besides --d and --n; a rank-one family's are (a, b), None meaning ones
 _FAMILIES = {
-    "constant": ((), lambda args: ProfileFamily.constant()),
-    "iid_columns": (("b",), lambda args: ProfileFamily.iid_columns(_parse_vector(args.b))),
-    "iid_rows": (("b",), lambda args: ProfileFamily.iid_rows(_parse_vector(args.b))),
-    "rank_one": (("a", "b"), lambda args: ProfileFamily.rank_one(_parse_vector(args.a), _parse_vector(args.b))),
-    "bounded_ratio": (("K", "profile"), lambda args: ProfileFamily.bounded_ratio(args.K, _read_profile(args)[0])),
+    "constant": (None, None),
+    "iid_columns": ("b", None),
+    "iid_rows": (None, "b"),
+    "rank_one": ("a", "b"),
+    "bounded_ratio": ("K", "profile"),
 }
 
 
+def _check_size(d: int, n: int) -> None:
+    if d < 1 or n < 1:
+        raise ProfileDomainError("d and n must be positive")
+
+
 def _profile_from_args(args) -> tuple[VarianceProfile, bytes]:
-    """Build the profile and the bytes its digest is computed from."""
+    """Build the profile and the bytes its digest is computed from.  A --family
+    checks which options are given, then their values (vector cells parse and are
+    nonnegative; K >= 1), then d and n, then the vector lengths or base size."""
     if args.profile and not args.family:
         return _read_profile(args)
-    if args.family:
-        reads, build = _FAMILIES[args.family]
-        if args.profile and "profile" not in reads:
-            raise ValueError(f"--profile is only read as the base of --family bounded_ratio, not {args.family}")
-        unread = [f"--{k}" for k in ("a", "b", "K") if getattr(args, k) is not None and k not in reads]
-        if unread:
-            raise ValueError(f"--family {args.family} does not read {', '.join(unread)}")
-        if args.d is None or args.n is None:
-            raise ValueError("--family requires --d and --n")
-        if any(getattr(args, k) in (None, "") for k in reads):
-            needs = " and ".join("a base --profile" if k == "profile" else f"--{k}" for k in reads)
-            raise ValueError(f"{args.family} requires {needs}")
-        prof = generate(build(args), args.d, args.n)
-        return prof, prof.to_csv().encode()
-    raise ValueError("a profile is required: --profile FILE or --family NAME --d D --n N")
+    if not args.family:
+        raise ValueError("a profile is required: --profile FILE or --family NAME --d D --n N")
+    family, d, n = args.family, args.d, args.n
+    reads = [k for k in _FAMILIES[family] if k]
+    if args.profile and "profile" not in reads:
+        raise ValueError(f"--profile is only read as the base of --family bounded_ratio, not {family}")
+    unread = [f"--{k}" for k in ("a", "b", "K") if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise ValueError(f"--family {family} does not read {', '.join(unread)}")
+    if d is None or n is None:
+        raise ValueError("--family requires --d and --n")
+    if any(getattr(args, k) in (None, "") for k in reads):
+        needs = " and ".join("a base --profile" if k == "profile" else f"--{k}" for k in reads)
+        raise ValueError(f"{family} requires {needs}")
+    if family == "bounded_ratio":
+        B = bounded_ratio(_read_profile(args)[0], args.K)
+        _check_size(d, n)
+        if (B.d, B.n) != (d, n):
+            raise ValueError("bounded_ratio needs a base profile of matching dimensions")
+    else:
+        a, b = [None if k is None else _parse_vector(getattr(args, k)) for k in _FAMILIES[family]]
+        a, b = [None if v is None else _as_entry_vector(v) for v in (a, b)]
+        _check_size(d, n)
+        a, b = (1,) * d if a is None else a, (1,) * n if b is None else b
+        if (len(a), len(b)) != (d, n):
+            needs = {"iid_columns": f"a length-{d} vector", "iid_rows": f"a length-{n} vector"}
+            raise ValueError(f"{family} needs {needs.get(family, f'vectors of lengths {d} and {n}')}")
+        B = rank_one(a, b)
+    return B, B.to_csv().encode()
 
 
 # --- subcommands ----------------------------------------------------------
@@ -297,18 +321,13 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
 
 
 def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> VarianceProfile:
-    if family == "constant":
-        return generate(ProfileFamily.constant(), d, n)
-    if family == "iid_columns":
-        return generate(ProfileFamily.iid_columns(rng.uniform(0.5, 1.5, size=d)), d, n)
-    if family == "iid_rows":
-        return generate(ProfileFamily.iid_rows(rng.uniform(0.5, 1.5, size=n)), d, n)
-    if family == "rank_one":
-        a = rng.uniform(0.5, 1.5, size=d)
-        b = rng.uniform(0.5, 1.5, size=n)
-        return generate(ProfileFamily.rank_one(a, b), d, n)
-    base = VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n)), exact=False)
-    return generate(ProfileFamily.bounded_ratio(1.0, base), d, n)
+    if family == "bounded_ratio":
+        return bounded_ratio(VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n)), exact=False), 1.0)
+    left, right = _FAMILIES[family]
+    a = rng.uniform(0.5, 1.5, size=d) if left else (1,) * d
+    b = rng.uniform(0.5, 1.5, size=n) if right else (1,) * n
+    _check_size(d, n)
+    return rank_one(a, b)
 
 
 def cmd_examples(args) -> tuple[dict, bytes, int]:
@@ -528,13 +547,18 @@ def main(argv=None) -> int:
         payload, raw, status = args.fn(args)
     except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError,
             RecursionError) as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload, raw, status = {"error": {"type": type(exc).__name__, "message": str(exc)}}, None, 2
         if getattr(exc, "line", None) is not None:
-            err["error"]["line"] = exc.line
-        print(dumps_canonical(_envelope(getattr(exc, "command", command), err, None)))
+            payload["error"]["line"] = exc.line
+        command = getattr(exc, "command", command)
         print(f"covdev: {exc}", file=sys.stderr)
+    try:
+        print(dumps_canonical(_envelope(command, payload, raw)), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("covdev: stdout was closed before the report was written", file=sys.stderr)
         return 2
-    print(dumps_canonical(_envelope(args.command, payload, raw)))
     return status
 
 

@@ -1,4 +1,4 @@
-"""Variance profile matrices: validation, ingestion, and structured generators.
+"""Variance profile matrices: validation, ingestion, and the structured families.
 
 A profile is the d x n nonnegative matrix B = (b_ij) of entrywise standard
 deviations; every other module consumes it read-only.  A float profile is a
@@ -8,14 +8,15 @@ it fits, else Python ints, plus the float view N_ij / D, correctly rounded.
 A decimal cell makes the whole matrix float.  `numerators` is the one exact
 view of the cells of either kind of profile.  A negative cell, or one with no
 finite float64 value, is a ProfileDomainError.  Parameters are computed once
-per profile (see params).
+per profile (see params).  The structured families come from `rank_one(a, b)`,
+b_ij = a_i * b_j (ones on one side or both give i.i.d. columns, i.i.d. rows or
+the constant profile), and `bounded_ratio(base, K)`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Sequence, Union
@@ -283,107 +284,38 @@ def load_profile(source: Union[bytes, str, IO], format: str = "csv") -> Variance
 
 # --- structured families -------------------------------------------------
 
-_FAMILY_KINDS = ("constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio")
 
-
-def _as_entry_vector(vec: Sequence) -> tuple[Entry, ...]:
-    out = tuple(Fraction(x) if isinstance(x, (int, Fraction)) and not isinstance(x, bool) else float(x) for x in vec)
-    if any(x < 0 for x in out):
+def _as_entry_vector(vec: Sequence) -> tuple[Union[int, Entry], ...]:
+    out = tuple(x if isinstance(x, (int, Fraction)) and not isinstance(x, bool) else float(x) for x in vec)
+    if any(x < 0 for x in out):  # NaN passes here and fails the profile's finiteness check
         raise ProfileDomainError("family vectors must be nonnegative")
     return out
 
 
-@dataclass(frozen=True)
-class ProfileFamily:
-    """One of the structured profile classes with closed-form behaviour.
-
-    constant       b_ij = 1
-    iid_columns    b_ij = b_i          (columns are i.i.d. vectors)
-    iid_rows       b_ij = b_j          (rows are i.i.d. vectors)
-    rank_one       b_ij = a_i * b_j
-    bounded_ratio  columns of a base profile rescaled so their Euclidean
-                   norms lie within a factor K of each other
-    """
-
-    kind: str
-    a: tuple[Entry, ...] | None = None
-    b: tuple[Entry, ...] | None = None
-    ratio_cap: float | None = None
-    base: VarianceProfile | None = None
-
-    def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "bounded_ratio" and (self.ratio_cap is None or not self.ratio_cap >= 1):  # NaN too
-            raise ValueError("bounded_ratio requires K >= 1")
-
-    @staticmethod
-    def constant() -> "ProfileFamily":
-        return ProfileFamily("constant")
-
-    @staticmethod
-    def iid_columns(b: Sequence) -> "ProfileFamily":
-        return ProfileFamily("iid_columns", b=_as_entry_vector(b))
-
-    @staticmethod
-    def iid_rows(b: Sequence) -> "ProfileFamily":
-        return ProfileFamily("iid_rows", b=_as_entry_vector(b))
-
-    @staticmethod
-    def rank_one(a: Sequence, b: Sequence) -> "ProfileFamily":
-        return ProfileFamily("rank_one", a=_as_entry_vector(a), b=_as_entry_vector(b))
-
-    @staticmethod
-    def bounded_ratio(ratio_cap: float, base: VarianceProfile) -> "ProfileFamily":
-        return ProfileFamily("bounded_ratio", ratio_cap=float(ratio_cap), base=base)
-
-
-def _outer(a: tuple[Entry, ...], b: tuple[Entry, ...]) -> VarianceProfile:
-    """The profile b_ij = a_i * b_j: exact when both vectors are, else the
-    float products float(a_i) * float(b_j)."""
-    if all(isinstance(x, Fraction) for x in a + b):
+def rank_one(a: Sequence, b: Sequence) -> VarianceProfile:
+    """The len(a) x len(b) profile b_ij = a_i * b_j: exact when every cell is an
+    int or a Fraction (int64 when the largest product fits, else Python ints),
+    else the float products float(a_i) * float(b_j)."""
+    a, b = _as_entry_vector(a), _as_entry_vector(b)
+    if all(isinstance(x, (int, Fraction)) for x in a + b):
         (na, da), (nb, db) = _exact_parts([a]), _exact_parts([b])
-        return VarianceProfile._of(np.outer(na.astype(object), nb.astype(object)), da * db)
+        if int(na.max(initial=0)) * int(nb.max(initial=0)) >= 2**63:
+            na, nb = na.astype(object), nb.astype(object)
+        return VarianceProfile._of(np.outer(na, nb), da * db)
     return VarianceProfile._of(np.outer([_float(x) for x in a], [_float(x) for x in b]), None)
 
 
-def generate(family: ProfileFamily, d: int, n: int) -> VarianceProfile:
-    """Materialize a d x n profile for the given family.
-
-    Raises ValueError when the family parameters are inconsistent with (d, n).
-    """
-    if d < 1 or n < 1:
-        raise ProfileDomainError("d and n must be positive")
-    kind = family.kind
-    if kind == "constant":
-        return VarianceProfile._of(np.ones((d, n), dtype=np.int64), 1)
-    if kind == "iid_columns":
-        if family.b is None or len(family.b) != d:
-            raise ValueError(f"iid_columns needs a length-{d} vector")
-        return _outer(family.b, (Fraction(1),) * n)
-    if kind == "iid_rows":
-        if family.b is None or len(family.b) != n:
-            raise ValueError(f"iid_rows needs a length-{n} vector")
-        return _outer((Fraction(1),) * d, family.b)
-    if kind == "rank_one":
-        if family.a is None or len(family.a) != d or family.b is None or len(family.b) != n:
-            raise ValueError(f"rank_one needs vectors of lengths {d} and {n}")
-        return _outer(family.a, family.b)
-    if kind == "bounded_ratio":
-        return _generate_bounded_ratio(family, d, n)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _generate_bounded_ratio(family: ProfileFamily, d: int, n: int) -> VarianceProfile:
-    # Columns with norm below max/K are scaled up to max/K; already-compliant
-    # profiles pass through unchanged (preserving exactness).
-    base = family.base
-    if base is None or base.d != d or base.n != n:
-        raise ValueError("bounded_ratio needs a base profile of matching dimensions")
+def bounded_ratio(base: VarianceProfile, K: float) -> VarianceProfile:
+    """The base profile with every column whose Euclidean norm is below max/K
+    scaled up to norm max/K, so the column norms lie within a factor K >= 1
+    of each other.  A base that already complies is returned as is, exact or
+    not; a rescaled one is a float profile."""
+    if not K >= 1:  # NaN too
+        raise ValueError("bounded_ratio requires K >= 1")
     arr = base.as_array()
     norms = np.sqrt((arr * arr).sum(axis=0))
-    target = norms.max() / family.ratio_cap
-    factors = np.divide(target, norms, out=np.ones(n), where=(norms > 0) & (norms < target))
+    target = norms.max() / K
+    factors = np.divide(target, norms, out=np.ones(base.n), where=(norms > 0) & (norms < target))
     if np.all(factors == 1.0):
         return base
     return VarianceProfile._of(arr * factors[np.newaxis, :], None)

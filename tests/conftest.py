@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covdev import BoundConfig, BoundReport, ProfileDomainError, ProfileFamily, ProfileParams, VarianceProfile
+from covdev import BoundConfig, BoundReport, ProfileDomainError, ProfileParams, VarianceProfile
 
 
 def entries(B: VarianceProfile) -> tuple[tuple, ...]:
@@ -126,8 +126,10 @@ class ClosedFormParams(ProfileParams):
     upper_bound_fields: frozenset = frozenset()
 
 
-def closed_form_params(family: ProfileFamily, d: int, n: int) -> ClosedFormParams:
-    """Closed-form parameters for the structured families.
+def closed_form_params(kind: str, d: int, n: int, a=None, b=None) -> ClosedFormParams:
+    """Closed-form parameters for the structured family `kind` at size d x n,
+    the profile rank_one(a, b) with a vector of ones where a or b is None:
+    `iid_columns` reads a, `iid_rows` reads b, `rank_one` reads both.
 
     Exact for `constant` and `iid_rows`.  For `iid_columns` and `rank_one`
     the sigma_tilde_inf and sigma_inf entries are the known upper-bound
@@ -135,7 +137,6 @@ def closed_form_params(family: ProfileFamily, d: int, n: int) -> ClosedFormParam
     is derived from them).  `bounded_ratio` has no closed form and raises
     ValueError.
     """
-    kind = family.kind
     if kind == "constant":
         s_inf = math.sqrt(n * (d - 1))
         return ClosedFormParams(
@@ -149,9 +150,9 @@ def closed_form_params(family: ProfileFamily, d: int, n: int) -> ClosedFormParam
             eff_rank=float(d),
         )
     if kind == "iid_columns":
-        if family.b is None or len(family.b) != d:
+        if a is None or len(a) != d:
             raise ValueError(f"iid_columns needs a length-{d} vector")
-        l2, l4sq, linf = _norms(family.b)
+        l2, l4sq, linf = _norms(a)
         tilde_ub = math.sqrt(n) * linf**2 if d >= 2 else 0.0
         inf_ub = math.sqrt(n) * linf * l2 if d >= 2 else 0.0
         return ClosedFormParams(
@@ -166,9 +167,9 @@ def closed_form_params(family: ProfileFamily, d: int, n: int) -> ClosedFormParam
             upper_bound_fields=frozenset({"sigma_tilde_inf", "sigma_inf", "beta_inf"}),
         )
     if kind == "iid_rows":
-        if family.b is None or len(family.b) != n:
+        if b is None or len(b) != n:
             raise ValueError(f"iid_rows needs a length-{n} vector")
-        l2, l4sq, linf = _norms(family.b)
+        l2, l4sq, linf = _norms(b)
         tilde = l4sq if d >= 2 else 0.0
         s_inf = math.sqrt(d - 1) * l4sq
         return ClosedFormParams(
@@ -182,10 +183,10 @@ def closed_form_params(family: ProfileFamily, d: int, n: int) -> ClosedFormParam
             eff_rank=float(d) if l2 > 0 else 0.0,
         )
     if kind == "rank_one":
-        if family.a is None or len(family.a) != d or family.b is None or len(family.b) != n:
+        if a is None or len(a) != d or b is None or len(b) != n:
             raise ValueError(f"rank_one needs vectors of lengths {d} and {n}")
-        a2, a4sq, ainf = _norms(family.a)
-        b2, b4sq, binf = _norms(family.b)
+        a2, a4sq, ainf = _norms(a)
+        b2, b4sq, binf = _norms(b)
         tilde_ub = b4sq * ainf**2 if d >= 2 else 0.0
         inf_ub = b4sq * a2 * ainf if d >= 2 else 0.0
         return ClosedFormParams(

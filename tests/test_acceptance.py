@@ -15,9 +15,9 @@ import pytest
 
 from covdev import (
     BoundConfig,
-    ProfileFamily,
     SimConfig,
     VarianceProfile,
+    bounded_ratio,
     check_opnorm_ceiling,
     check_schatten_ceiling,
     chz_bound,
@@ -29,7 +29,6 @@ from covdev import (
     estimate_deviation,
     free_probability_bound,
     full_trace_moment,
-    generate,
     joint_moment,
     kl_comparator,
     load_profile,
@@ -37,6 +36,7 @@ from covdev import (
     lower_bound_schatten,
     main_upper_bound,
     offdiag_trace_moment,
+    rank_one,
     schatten_upper_bound,
     trace_moment_via_shapes,
 )
@@ -65,13 +65,13 @@ def small_family_profiles():
     """The structured families at small exact parameterizations."""
     profs = []
     for d, n in ((2, 3), (3, 2)):
-        profs.append(generate(ProfileFamily.constant(), d, n))
-        profs.append(generate(ProfileFamily.iid_columns(tuple(range(1, d + 1))), d, n))
-        profs.append(generate(ProfileFamily.iid_rows(tuple(range(1, n + 1))), d, n))
-        profs.append(generate(ProfileFamily.rank_one(tuple(range(1, d + 1)), (2,) + (1,) * (n - 1)), d, n))
-    # a column-ratio-compliant exact base passes through generate() unchanged
+        profs.append(rank_one([1] * d, [1] * n))
+        profs.append(rank_one(tuple(range(1, d + 1)), [1] * n))
+        profs.append(rank_one([1] * d, tuple(range(1, n + 1))))
+        profs.append(rank_one(tuple(range(1, d + 1)), (2,) + (1,) * (n - 1)))
+    # a column-ratio-compliant exact base passes through bounded_ratio() unchanged
     base = load_profile("1,2,1\n2,1,1", format="csv")
-    profs.append(generate(ProfileFamily.bounded_ratio(2.0, base), 2, 3))
+    profs.append(bounded_ratio(base, 2.0))
     return profs
 
 
@@ -210,16 +210,10 @@ def test_criterion_07_closed_form_cross_check():
     for kind in ("constant", "iid_columns", "iid_rows", "rank_one"):
         for _ in range(100):
             d, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            if kind == "constant":
-                fam = ProfileFamily.constant()
-            elif kind == "iid_columns":
-                fam = ProfileFamily.iid_columns(rng.uniform(0, 2, size=d))
-            elif kind == "iid_rows":
-                fam = ProfileFamily.iid_rows(rng.uniform(0, 2, size=n))
-            else:
-                fam = ProfileFamily.rank_one(rng.uniform(0, 2, size=d), rng.uniform(0, 2, size=n))
-            P = compute_params(generate(fam, d, n))
-            cf = closed_form_params(fam, d, n)
+            a = rng.uniform(0, 2, size=d) if kind in ("iid_columns", "rank_one") else None
+            b = rng.uniform(0, 2, size=n) if kind in ("iid_rows", "rank_one") else None
+            P = compute_params(rank_one([1] * d if a is None else a, [1] * n if b is None else b))
+            cf = closed_form_params(kind, d, n, a, b)
             for f in SIGMA_FIELDS + ("eff_rank",):
                 got, want = getattr(P, f), getattr(cf, f)
                 if f in cf.upper_bound_fields:
@@ -236,7 +230,7 @@ def test_criterion_07_closed_form_cross_check():
 
 @pytest.fixture(scope="module")
 def wishart_anchor():
-    B = generate(ProfileFamily.constant(), 20, 400)
+    B = rank_one([1] * 20, [1] * 400)
     est = estimate_deviation(B, SimConfig(seed=2024, samples=400))[0]
     return B, est
 
@@ -288,11 +282,11 @@ def _sandwich_profiles():
             tuple(0.9 + 0.2 * ((3 * i + 5 * j) % 11) / 10.0 for j in range(n)) for i in range(d)
         )
         base = VarianceProfile(base_rows, exact=False)
-        out[("constant", d, n)] = generate(ProfileFamily.constant(), d, n)
-        out[("iid_columns", d, n)] = generate(ProfileFamily.iid_columns(va), d, n)
-        out[("iid_rows", d, n)] = generate(ProfileFamily.iid_rows(vb), d, n)
-        out[("rank_one", d, n)] = generate(ProfileFamily.rank_one(va, vb), d, n)
-        out[("bounded_ratio", d, n)] = generate(ProfileFamily.bounded_ratio(1.25, base), d, n)
+        out[("constant", d, n)] = rank_one([1] * d, [1] * n)
+        out[("iid_columns", d, n)] = rank_one(va, [1] * n)
+        out[("iid_rows", d, n)] = rank_one([1] * d, vb)
+        out[("rank_one", d, n)] = rank_one(va, vb)
+        out[("bounded_ratio", d, n)] = bounded_ratio(base, 1.25)
     return out
 
 

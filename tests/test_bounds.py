@@ -5,25 +5,24 @@ import pytest
 
 from covdev import (
     BoundConfig,
-    ProfileFamily,
     VarianceProfile,
     chz_bound,
     compute_params,
     diagonal_bound,
     free_probability_bound,
-    generate,
     kl_comparator,
     load_profile,
     lower_bound_opnorm,
     lower_bound_schatten,
     main_upper_bound,
+    rank_one,
     schatten_upper_bound,
 )
 
 from conftest import close, float_profile, scaled, standard_gaussian_bound
 
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
-CONST22 = generate(ProfileFamily.constant(), 2, 2)
+CONST22 = rank_one([1] * 2, [1] * 2)
 
 
 def all_reports(B, p=2, cfg=None):
@@ -64,7 +63,7 @@ class TestMainUpperBound:
     def test_iid_rows_leading_closed_form(self):
         b = (1.0, 2.0, 1.5)
         d = 4
-        B = generate(ProfileFamily.iid_rows(b), d, 3)
+        B = rank_one([1] * d, b)
         r = main_upper_bound(B)
         assert r.case_taken == "beta_gt_1"  # beta = sqrt(d/(d-1)) > 1
         l4sq = math.sqrt(sum(x**4 for x in b))
@@ -198,13 +197,13 @@ class TestLowerBounds:
 
     def test_opnorm_constant(self):
         d, n = 3, 5
-        B = generate(ProfileFamily.constant(), d, n)
+        B = rank_one([1] * d, [1] * n)
         assert close(lower_bound_opnorm(B).total, math.sqrt(n * (d - 1)) + d)
 
     def test_opnorm_iid_rows(self):
         b = (1.0, 2.0)
         d = 5
-        B = generate(ProfileFamily.iid_rows(b), d, 2)
+        B = rank_one([1] * d, b)
         l4sq = math.sqrt(sum(x**4 for x in b))
         assert close(lower_bound_opnorm(B).total, math.sqrt(d - 1) * l4sq + d * 4.0)
 
@@ -221,12 +220,12 @@ class TestKlComparator:
 
     def test_constant(self):
         d, n = 3, 5
-        B = generate(ProfileFamily.constant(), d, n)
+        B = rank_one([1] * d, [1] * n)
         assert close(kl_comparator(B).total, n * max(math.sqrt(n * d), d))
 
     def test_iid_columns_rank(self):
         b = (1.0, 2.0, 2.0)
-        B = generate(ProfileFamily.iid_columns(b), 3, 4)
+        B = rank_one(b, [1] * 4)
         P = compute_params(B)
         assert close(P.eff_rank, sum(x**2 for x in b) / 4.0)
 

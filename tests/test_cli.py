@@ -30,6 +30,12 @@ def strip_timestamp(stdout: str) -> str:
     return "\n".join(line for line in stdout.splitlines() if '"timestamp"' not in line)
 
 
+def cli_process_env() -> dict:
+    """The environment for running `python -m covdev.cli` in a subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.fixture
 def profile_file(tmp_path):
     path = tmp_path / "prof.csv"
@@ -202,10 +208,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("arg", [b"\x01", b"\xff"])  # a control character, a byte that is not UTF-8
     def test_unprintable_argument_gives_strict_utf8_json(self, arg):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = [sys.executable, "-m", "covdev.cli", "params", "--family", "constant", "--d", "2", "--n", "2"]
-        run = subprocess.run([*map(os.fsencode, argv), arg], capture_output=True, env=env, timeout=60)
+        run = subprocess.run([*map(os.fsencode, argv), arg], capture_output=True, env=cli_process_env(), timeout=60)
         assert run.returncode == 2
         envelope = json.loads(run.stdout.decode("utf-8"))  # strict: a raw surrogate byte would raise
         assert envelope["payload"]["error"]["message"] == "unrecognized arguments: " + os.fsdecode(arg)
@@ -465,6 +469,16 @@ class TestShapesCommand:
     def test_census_with_profile(self, capsys, profile_file):
         _, out, _ = run_cli(capsys, "shapes", "--p", "2", "--profile", profile_file)
         assert payload_of(out)["shapes"][0]["W_exact"] == "146"
+
+    def test_closed_stdout_exit_2_without_traceback(self):
+        # the p = 7 census is far larger than a pipe's buffer, so the write meets the closed pipe
+        proc = subprocess.Popen([sys.executable, "-m", "covdev.cli", "shapes", "--p", "7"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_process_env())
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("covdev: ")
 
     def test_weight_beyond_float_range_prints_inf(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

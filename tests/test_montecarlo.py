@@ -10,16 +10,15 @@ import pytest
 
 from covdev import (
     BoundConfig,
-    ProfileFamily,
     SimConfig,
     VarianceProfile,
     diag_trace_moment,
     estimate_deviation,
     full_trace_moment,
-    generate,
     load_profile,
     lower_bound_opnorm,
     main_upper_bound,
+    rank_one,
     tightness_report,
 )
 from covdev import montecarlo
@@ -78,7 +77,7 @@ class TestSampleDeviation:
 
     def test_exactly_symmetric(self):
         rng_idx = 0
-        B = generate(ProfileFamily.constant(), 7, 5)
+        B = rank_one([1] * 7, [1] * 5)
         M = sample_deviation(B, sample_stream(1, rng_idx))
         assert (M == M.T).all()
 
@@ -130,7 +129,7 @@ class TestEstimates:
     def test_single_row_second_moment_cap(self):
         # E |sum (g^2-1)| <= sqrt(E (sum)^2) = sqrt(2n)
         n = 100
-        B = generate(ProfileFamily.constant(), 1, n)
+        B = rank_one([1], [1] * n)
         est = estimate_deviation(B, SimConfig(seed=8, samples=400))[0]
         cap = math.sqrt(float(diag_trace_moment(B, 2).value))
         assert cap == pytest.approx(math.sqrt(2 * n))
@@ -165,8 +164,8 @@ def _float_profile(seed, d, n):
 # samples a chunk, 150x300 takes 2 and 60x20 (d > n) takes 36.
 PROFILES = [
     (B2212, 300),
-    (generate(ProfileFamily.constant(), 20, 40), 30),
-    (generate(ProfileFamily.constant(), 20, 400), 37),
+    (rank_one([1] * 20, [1] * 40), 30),
+    (rank_one([1] * 20, [1] * 400), 37),
     (_float_profile(3, 150, 300), 5),
     (_float_profile(4, 60, 20), 41),
 ]
@@ -407,7 +406,7 @@ class TestTightnessReport:
         assert rep["ratios"]["upper_over_empirical"] is None
 
     def test_sandwich_on_wishart(self):
-        B = generate(ProfileFamily.constant(), 10, 40)
+        B = rank_one([1] * 10, [1] * 40)
         rep = tightness_report(B, SimConfig(seed=7, samples=100), BoundConfig())
         est = rep["estimate"]
         assert rep["bounds"]["lower_bound_opnorm"]["total"] <= est["mean"] + 5 * est["stderr"]
@@ -418,7 +417,7 @@ class TestTightnessReport:
         # empirical / (sigma_inf + sigma_C^2) stays within a fixed window
         b = tuple(1.0 + 0.1 * j for j in range(8))
         for d in (5, 10, 20):
-            B = generate(ProfileFamily.iid_rows(b), d, 8)
+            B = rank_one([1] * d, b)
             est = estimate_deviation(B, SimConfig(seed=13, samples=100))[0]
             lower = lower_bound_opnorm(B).total
             assert 0.2 <= est.mean / lower <= 5.0

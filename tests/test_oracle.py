@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from covdev import (
-    ProfileFamily,
     ResourceLimitError,
     VarianceProfile,
     diag_trace_moment,
     full_trace_moment,
-    generate,
     joint_moment,
     load_profile,
     offdiag_trace_moment,
+    rank_one,
     trace_moment_via_shapes,
 )
 
@@ -69,7 +68,7 @@ class TestOffdiagMoment:
         assert m.kind == "offdiag" and m.p == 2
 
     def test_constant_3x2(self):
-        B = generate(ProfileFamily.constant(), 3, 2)
+        B = rank_one([1] * 3, [1] * 2)
         assert offdiag_trace_moment(B, 2).value == 12
 
     def test_p2_closed_form_random(self):
@@ -83,7 +82,7 @@ class TestOffdiagMoment:
         assert abs(offdiag_trace_moment(Bf, 2).value - 146.0) < 1e-9
 
     def test_work_cap(self):
-        B = generate(ProfileFamily.constant(), 4, 4)
+        B = rank_one([1] * 4, [1] * 4)
         with pytest.raises(ResourceLimitError):
             offdiag_trace_moment(B, 6, cap=10**5)
 
@@ -115,7 +114,7 @@ class TestDiagMoment:
 
     def test_wide_row(self):
         # E (sum_j (g_j^2 - 1))^2 = 2 n; one row of 1500 columns
-        B = generate(ProfileFamily.constant(), 1, 1500)
+        B = rank_one([1], [1] * 1500)
         assert diag_trace_moment(B, 2).value == 3000
 
     def test_cap_counts_multiply_adds(self):
@@ -344,11 +343,11 @@ class TestWalkAgainstProductExpansion:
 class TestWalkCap:
     def test_8x8_p4_under_default_cap(self):
         # 8^8 index tuples are over the default cap; the walk's nodes are not
-        B = generate(ProfileFamily.constant(), 8, 8)
+        B = rank_one([1] * 8, [1] * 8)
         assert offdiag_trace_moment(B, 4).value == trace_moment_via_shapes(B, 4)
 
     def test_cap_error_is_deterministic(self):
-        B = generate(ProfileFamily.constant(), 3, 3)
+        B = rank_one([1] * 3, [1] * 3)
         messages = set()
         for _ in range(2):
             with pytest.raises(ResourceLimitError) as info:
@@ -360,7 +359,7 @@ class TestWalkCap:
     @pytest.mark.parametrize("moment, nodes", [(offdiag_trace_moment, 3472), (full_trace_moment, 9480)])
     def test_walk_visits_one_rotation_per_path(self, moment, nodes):
         # walking all p rotations of each path takes 9,280 and 21,808 nodes here
-        B = generate(ProfileFamily.constant(), 4, 4)
+        B = rank_one([1] * 4, [1] * 4)
         with pytest.raises(ResourceLimitError, match=f"more than {nodes - 1} walk nodes"):
             moment(B, 4, cap=nodes - 1)
         assert moment(B, 4, cap=nodes) == moment(B, 4)

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdev import (
-    ProfileFamily,
     VarianceProfile,
     compute_params,
     compute_schatten_params,
-    generate,
     load_profile,
+    rank_one,
 )
 
 from conftest import close, closed_form_params, entries, float_profile, naive_squared_params, rational_profile, scaled
@@ -22,7 +21,7 @@ SIGMA_FIELDS = ("sigma_C", "sigma_R", "sigma_star", "sigma_tilde_inf", "sigma_ba
 
 class TestComputeParams:
     def test_constant_2x2(self):
-        B = generate(ProfileFamily.constant(), 2, 2)
+        B = rank_one([1] * 2, [1] * 2)
         P = compute_params(B)
         rt2 = math.sqrt(2)
         assert close(P.sigma_C, rt2) and close(P.sigma_R, rt2)
@@ -45,7 +44,7 @@ class TestComputeParams:
         # sigma_tilde = sigma_bar = ||b||_4^2
         b = (1.0, 2.0, 3.0)
         d = 4
-        B = generate(ProfileFamily.iid_rows(b), d, 3)
+        B = rank_one([1] * d, b)
         P = compute_params(B)
         l4sq = math.sqrt(sum(x**4 for x in b))
         assert close(P.sigma_C, math.sqrt(d) * 3.0)
@@ -86,7 +85,7 @@ class TestComputeParams:
 
 class TestSchattenParams:
     def test_constant_2x2_p2(self):
-        Q = compute_schatten_params(generate(ProfileFamily.constant(), 2, 2), 2)
+        Q = compute_schatten_params(rank_one([1] * 2, [1] * 2), 2)
         assert close(Q.sigma_p, math.sqrt(8))
         assert close(Q.sigma_p_prime, 2.0)
         assert close(Q.sigma_bar_p, 2.0)
@@ -97,7 +96,7 @@ class TestSchattenParams:
         # sigma_bar_p = d^{1/p} ||b||_4^2
         b = (1.0, 2.0)
         d, p = 3, 2
-        Q = compute_schatten_params(generate(ProfileFamily.iid_rows(b), d, 2), p)
+        Q = compute_schatten_params(rank_one([1] * d, b), p)
         assert close(Q.sigma_bar_p, d ** (1 / p) * math.sqrt(sum(x**4 for x in b)))
 
     def test_zero_profile(self):
@@ -107,7 +106,7 @@ class TestSchattenParams:
 
     @pytest.mark.parametrize("p", [1, 3, 0, -2, 5])
     def test_odd_or_small_p_rejected(self, p):
-        B = generate(ProfileFamily.constant(), 2, 2)
+        B = rank_one([1] * 2, [1] * 2)
         with pytest.raises(ValueError):
             compute_schatten_params(B, p)
 
@@ -238,7 +237,7 @@ class TestClosedForms:
     def test_iid_columns_equalities(self):
         b = (1.0, 2.0, 0.5)
         d, n = 3, 4
-        cf = closed_form_params(ProfileFamily.iid_columns(b), d, n)
+        cf = closed_form_params("iid_columns", d, n, a=b)
         assert close(cf.sigma_C, math.sqrt(sum(x**2 for x in b)))
         assert close(cf.sigma_R, math.sqrt(n) * 2.0)
         assert close(cf.sigma_star, 2.0)
@@ -249,38 +248,31 @@ class TestClosedForms:
         # sigma_tilde * sigma_C / sigma_star = sqrt(d) ||b||_4^2
         b = (1.0, 2.0)
         d = 3
-        cf = closed_form_params(ProfileFamily.iid_rows(b), d, 2)
+        cf = closed_form_params("iid_rows", d, 2, b=b)
         lhs = cf.sigma_tilde_inf * cf.sigma_C / cf.sigma_star
         assert close(lhs, math.sqrt(d) * math.sqrt(sum(x**4 for x in b)))
 
     def test_rank_one_upper_bounds(self):
         a, b = (1.0, 2.0), (3.0, 1.0, 2.0)
-        cf = closed_form_params(ProfileFamily.rank_one(a, b), 2, 3)
+        cf = closed_form_params("rank_one", 2, 3, a, b)
         l4sq = math.sqrt(sum(x**4 for x in b))
         assert close(cf.sigma_bar_inf, l4sq * 4.0)
         assert close(cf.sigma_inf, l4sq * math.sqrt(5) * 2.0)
         assert cf.upper_bound_fields == frozenset({"sigma_tilde_inf", "sigma_inf", "beta_inf"})
 
     def test_no_closed_form_families(self):
-        base = generate(ProfileFamily.constant(), 2, 2)
         with pytest.raises(ValueError):
-            closed_form_params(ProfileFamily.bounded_ratio(2.0, base), 2, 2)
+            closed_form_params("bounded_ratio", 2, 2)
 
     def test_consistency_with_computed(self):
         rng = np.random.default_rng(6)
         for _ in range(60):
             d, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             kind = rng.choice(["constant", "iid_columns", "iid_rows", "rank_one"])
-            if kind == "constant":
-                fam = ProfileFamily.constant()
-            elif kind == "iid_columns":
-                fam = ProfileFamily.iid_columns(rng.uniform(0, 2, size=d))
-            elif kind == "iid_rows":
-                fam = ProfileFamily.iid_rows(rng.uniform(0, 2, size=n))
-            else:
-                fam = ProfileFamily.rank_one(rng.uniform(0, 2, size=d), rng.uniform(0, 2, size=n))
-            P = compute_params(generate(fam, d, n))
-            cf = closed_form_params(fam, d, n)
+            a = rng.uniform(0, 2, size=d) if kind in ("iid_columns", "rank_one") else None
+            b = rng.uniform(0, 2, size=n) if kind in ("iid_rows", "rank_one") else None
+            P = compute_params(rank_one([1] * d if a is None else a, [1] * n if b is None else b))
+            cf = closed_form_params(kind, d, n, a, b)
             for f in SIGMA_FIELDS + ("eff_rank", "beta_inf"):
                 got, want = getattr(P, f), getattr(cf, f)
                 if f in cf.upper_bound_fields:

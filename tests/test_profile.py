@@ -6,11 +6,11 @@ import pytest
 
 from covdev import (
     ProfileDomainError,
-    ProfileFamily,
     ProfileFormatError,
     VarianceProfile,
-    generate,
+    bounded_ratio,
     load_profile,
+    rank_one,
 )
 
 from conftest import entries, float_profile, rational_profile, scaled
@@ -133,17 +133,17 @@ class TestRoundTrip:
         # equal values in distinct int objects: each row keys apart and renders alike
         apart = VarianceProfile._of(np.array([[int(str(big)), int(str(big))] for _ in range(3)], dtype=object), 1)
         assert shared._matrix[0, 0] is shared._matrix[1, 0] and apart._matrix[0, 0] is not apart._matrix[1, 0]
-        signed = generate(ProfileFamily.rank_one([0.0, -0.0, 1.5, -0.0, 0.0], b), 5, 4)
+        signed = rank_one([0.0, -0.0, 1.5, -0.0, 0.0], b)
         profiles = [
-            generate(ProfileFamily.constant(), 6, 4),
-            generate(ProfileFamily.iid_rows([1.0] * 4), 6, 4),  # constant, float form
-            generate(ProfileFamily.iid_rows(ib), 6, 4),
-            generate(ProfileFamily.iid_rows(b), 6, 4),
-            generate(ProfileFamily.iid_columns(ia), 6, 4),
-            generate(ProfileFamily.iid_columns(a), 6, 4),
-            generate(ProfileFamily.rank_one(ia, ib), 6, 4),
-            generate(ProfileFamily.rank_one(a, b), 6, 4),
-            generate(ProfileFamily.bounded_ratio(1.2, float_profile(rng, 6, 4)), 6, 4),
+            rank_one([1] * 6, [1] * 4),
+            rank_one([1] * 6, [1.0] * 4),  # constant, float form
+            rank_one([1] * 6, ib),
+            rank_one([1] * 6, b),
+            rank_one(ia, [1] * 4),
+            rank_one(a, [1] * 4),
+            rank_one(ia, ib),
+            rank_one(a, b),
+            bounded_ratio(float_profile(rng, 6, 4), 1.2),
             float_profile(rng, 20, 30),
             load_profile("1/2,3,7/5\n1/2,3,7/5\n0,2/3,4\n", format="csv"),
             rational_profile(rng, 7, 5, max_num=3, max_den=3),
@@ -151,9 +151,9 @@ class TestRoundTrip:
             shared,
             apart,
             signed,
-            generate(ProfileFamily.rank_one([1.5], b), 1, 4),
-            generate(ProfileFamily.iid_columns(ia), 6, 1),
-            generate(ProfileFamily.constant(), 1, 1),
+            rank_one([1.5], b),
+            rank_one(ia, [1]),
+            rank_one([1], [1]),
         ]
         assert shared._matrix.dtype == apart._matrix.dtype == object
         assert signed.to_csv().splitlines()[1].split(",") == ["-0.0"] * 4
@@ -170,28 +170,22 @@ class TestRoundTrip:
 
 class TestGenerate:
     def test_iid_rows(self):
-        B = generate(ProfileFamily.iid_rows((1, 2)), 2, 2)
+        B = rank_one([1] * 2, (1, 2))
         assert entries(B) == ((1, 2), (1, 2))
 
     def test_rank_one(self):
-        B = generate(ProfileFamily.rank_one((1, 2), (3, 1)), 2, 2)
+        B = rank_one((1, 2), (3, 1))
         assert entries(B) == ((3, 1), (6, 2))
 
     def test_constant(self):
-        B = generate(ProfileFamily.constant(), 3, 5)
+        B = rank_one([1] * 3, [1] * 5)
         assert (B.d, B.n) == (3, 5)
         assert all(x == 1 for row in entries(B) for x in row)
         assert B.exact
 
     def test_iid_columns(self):
-        B = generate(ProfileFamily.iid_columns((2, 5)), 2, 3)
+        B = rank_one((2, 5), [1] * 3)
         assert entries(B) == ((2, 2, 2), (5, 5, 5))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            generate(ProfileFamily.iid_rows((1, 2, 3)), 2, 2)
-        with pytest.raises(ValueError):
-            generate(ProfileFamily.rank_one((1,), (1, 2)), 2, 2)
 
     def test_rank_one_is_entrywise_product(self):
         rng = np.random.default_rng(11)
@@ -199,16 +193,51 @@ class TestGenerate:
             d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             a = [Fraction(int(rng.integers(0, 5))) for _ in range(d)]
             b = [Fraction(int(rng.integers(0, 5))) for _ in range(n)]
-            R = generate(ProfileFamily.rank_one(a, b), d, n)
-            C = generate(ProfileFamily.iid_columns(a), d, n)
-            Rw = generate(ProfileFamily.iid_rows(b), d, n)
+            R = rank_one(a, b)
+            C = rank_one(a, [1] * n)
+            Rw = rank_one([1] * d, b)
             for i in range(d):
                 for j in range(n):
                     assert entries(R)[i][j] == entries(C)[i][j] * entries(Rw)[i][j]
 
     def test_negative_vector_rejected(self):
         with pytest.raises(ProfileDomainError):
-            ProfileFamily.iid_rows((1, -2))
+            rank_one([1] * 2, (1, -2))
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("a, b, dtype", [
+        ((2**63 - 1, 3, 0), (1, 0), np.int64),  # the largest product is the largest int64
+        ((Fraction(2**63 - 1, 3), 1), (Fraction(1, 5), 0), np.int64),
+        ((2**62, 3, 0), (2, 1), object),  # the largest product is 2**63
+        ((2**70, 1), (0, 1), object),
+    ])
+    def test_products_past_int64_are_python_ints(self, a, b, dtype):
+        B = rank_one(a, b)
+        assert B._matrix.dtype == dtype
+        assert B == VarianceProfile([[Fraction(x) * Fraction(y) for y in b] for x in a], exact=True)
+        assert entries(B) == tuple(tuple(Fraction(x) * Fraction(y) for y in b) for x in a)
+
+    def test_int_and_fraction_cells_are_exact(self):
+        a, b = (1, Fraction(1, 2), 0), (Fraction(2, 3), 3)
+        B = rank_one(a, b)
+        assert B.exact
+        assert entries(B) == tuple(tuple(Fraction(x) * y for y in b) for x in a)
+
+    @pytest.mark.parametrize("a, b", [
+        ((1, 2), (0.5, 3)),
+        ((Fraction(1, 3), 2), (3, 2.0)),
+    ])
+    def test_any_float_cell_gives_the_float_products(self, a, b):
+        B = rank_one(a, b)
+        assert not B.exact
+        want = np.array([[float(x) * float(y) for y in b] for x in a])
+        assert np.array_equal(B.as_array(), want)
+
+    @pytest.mark.parametrize("a, b", [((), (1, 2)), ((1,), ()), ([], [1.5])])
+    def test_empty_vector_rejected(self, a, b):
+        with pytest.raises(ProfileDomainError):
+            rank_one(a, b)
 
 
 class TestBoundedRatio:
@@ -219,30 +248,30 @@ class TestBoundedRatio:
                 tuple(tuple(float(x) for x in row) for row in rng.uniform(0.1, 2.0, size=(4, 6))),
                 exact=False,
             )
-            B = generate(ProfileFamily.bounded_ratio(K, base), 4, 6)
+            B = bounded_ratio(base, K)
             arr = B.as_array()
             norms = np.sqrt((arr**2).sum(axis=0))
             nz = norms[norms > 0]
             assert nz.max() <= K * nz.min() * (1 + 1e-12)
 
     def test_compliant_base_unchanged(self):
-        base = generate(ProfileFamily.constant(), 3, 3)
-        B = generate(ProfileFamily.bounded_ratio(2.0, base), 3, 3)
+        base = rank_one([1] * 3, [1] * 3)
+        B = bounded_ratio(base, 2.0)
         assert B is base
         assert B.exact
 
     def test_zero_columns_tolerated(self):
         base = VarianceProfile(((1.0, 0.0), (1.0, 0.0)), exact=False)
-        B = generate(ProfileFamily.bounded_ratio(1.0, base), 2, 2)
+        B = bounded_ratio(base, 1.0)
         arr = B.as_array()
         assert arr[0, 1] == 0.0
 
     def test_k_below_one_rejected(self):
-        base = generate(ProfileFamily.constant(), 2, 2)
+        base = rank_one([1] * 2, [1] * 2)
         for K in (0.5, float("nan")):
             with pytest.raises(ValueError):
-                ProfileFamily.bounded_ratio(K, base)
-        assert generate(ProfileFamily.bounded_ratio(float("inf"), base), 2, 2) is base
+                bounded_ratio(base, K)
+        assert bounded_ratio(base, float("inf")) is base
 
 
 class TestProfileObject:
@@ -325,7 +354,7 @@ class TestExactArithmeticSafety:
     def test_params_computed_once_per_profile(self):
         from covdev.params import compute_params, compute_schatten_params
 
-        B = generate(ProfileFamily.constant(), 3, 4)
+        B = rank_one([1] * 3, [1] * 4)
         assert compute_params(B) is compute_params(B)
         assert compute_schatten_params(B, 4) is compute_schatten_params(B, 4)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdev import (
-    ProfileFamily,
     ResourceLimitError,
     Shape,
     VarianceProfile,
@@ -20,10 +19,10 @@ from covdev import (
     check_opnorm_ceiling,
     check_schatten_ceiling,
     enumerate_shapes,
-    generate,
     joint_moment,
     load_profile,
     offdiag_trace_moment,
+    rank_one,
     trace_moment_via_shapes,
 )
 from covdev import shapes
@@ -549,7 +548,7 @@ class TestTraceMomentViaShapes:
         assert trace_moment_via_shapes(B2212, 2) == Fraction(146)
 
     def test_constant_2x2(self):
-        B = generate(ProfileFamily.constant(), 2, 2)
+        B = rank_one([1] * 2, [1] * 2)
         assert trace_moment_via_shapes(B, 2) == 4
 
     def test_equals_oracle_exactly(self):
@@ -602,7 +601,7 @@ class TestSpanningTree:
 class TestCeilingChecks:
     def test_constant_2x2_p2(self):
         s = enumerate_shapes(2)[0]
-        B = generate(ProfileFamily.constant(), 2, 2)
+        B = rank_one([1] * 2, [1] * 2)
         w = check_opnorm_ceiling(s, B)
         assert w.applicable and w.case == "beta_gt_1"
         assert w.w_value == 4.0

@@ -212,7 +212,7 @@ class TestRankOne:
         ((2**62, 3, 0), (2, 1), object),  # the largest product is 2**63
         ((2**70, 1), (0, 1), object),
     ])
-    def test_products_past_int64_are_python_ints(self, a, b, dtype):
+    def test_int64_only_while_the_largest_product_fits(self, a, b, dtype):
         B = rank_one(a, b)
         assert B._matrix.dtype == dtype
         assert B == VarianceProfile([[Fraction(x) * Fraction(y) for y in b] for x in a], exact=True)

@@ -35,6 +35,7 @@ FILES = {
     "float2.csv": "0.1,0.2\n0.3,0.7\n",
     "tall.csv": "1/2,3,2/3\n5/4,1,7\n1,1/3,2\n3/2,2/5,1\n4,1/4,5/3\n2/7,6,1/2\n1,5/2,3/4\n7/3,1,1/6\n",
     "mixed.json": '{"d": 2, "n": 3, "entries": [[1, "1/3", 0.25], [0, 2, "7"]]}',
+    "zero.json": '{"d": 2, "n": 2, "entries": [[0, 0], [0, 0]]}',
 }
 
 CASES = {
@@ -63,6 +64,10 @@ CASES = {
     "shapes_p6_ratio": ("shapes", "--p", "6", "--profile", "@ratio.csv"),
     "shapes_p4_float": ("shapes", "--p", "4", "--profile", "@float.csv"),
     "shapes_p6_tall": ("shapes", "--p", "6", "--profile", "@tall.csv"),
+    # the all-zero profile: every warning path, exact-zero Monte Carlo values and None ratios
+    "bounds_zero": ("bounds", "--profile", "@zero.json", "--p", "2,4"),
+    "simulate_zero": ("simulate", "--profile", "@zero.json", "--samples", "5", "--p", "2"),
+    "compare_zero": ("compare", "--profile", "@zero.json", "--samples", "5"),
     "verify_3x1_p6": ("verify", "--d", "3", "--n", "1", "--pmax", "6", "--profiles", "40", "--seed", "3"),
 }
 

@@ -24,7 +24,6 @@ from .montecarlo import (
     MomentEstimate,
     SimConfig,
     estimate_deviation,
-    tightness_report,
 )
 from .oracle import (
     ExactMoment,
@@ -74,5 +73,5 @@ __all__ = [
     "ExactMoment", "joint_moment", "joint_moment_table",
     "offdiag_trace_moment", "diag_trace_moment", "full_trace_moment",
     "SimConfig", "MomentEstimate",
-    "estimate_deviation", "tightness_report",
+    "estimate_deviation",
 ]

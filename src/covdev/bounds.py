@@ -57,14 +57,6 @@ class BoundConfig:
         """C(eps) = C * (1 + eps) / sqrt(log(1 + eps))."""
         return self.C_universal * (1 + self.epsilon) / math.sqrt(math.log1p(self.epsilon))
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "C_universal": self.C_universal,
-            "C_prime": self.C_prime,
-            "log_floor": self.log_floor,
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -76,28 +68,20 @@ class BoundReport:
     constants_used: BoundConfig
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "case_taken": self.case_taken,
-            "leading_term": self.leading_term,
-            "error_terms": [[label, value] for label, value in self.error_terms],
-            "total": self.total,
-            "constants_used": self.constants_used.to_dict(),
-            "warnings": list(self.warnings),
-        }
 
-
-def _report(name, case, e, leading, errors, cfg, warnings=()) -> BoundReport:
-    """The report of terms evaluated on 2^-e B, each and their total scaled by 2^(2e)."""
+def _report(name, case, B, e, leading, errors, cfg=None, warnings=()) -> BoundReport:
+    """The report of terms evaluated on 2^-e B, each and their total scaled by 2^(2e),
+    under cfg (default BoundConfig()); an all-zero B adds a warning after the others."""
     total = leading + sum(value for _, value in errors)
+    if B.is_zero:
+        warnings = [*warnings, "all-zero profile: bound degenerates to 0"]
     return BoundReport(
         bound_name=name,
         case_taken=case,
         leading_term=_ldexp(leading, 2 * e),
         error_terms=tuple((label, _ldexp(value, 2 * e)) for label, value in errors),
         total=_ldexp(total, 2 * e),
-        constants_used=cfg,
+        constants_used=cfg or BoundConfig(),
         warnings=tuple(warnings),
     )
 
@@ -119,10 +103,6 @@ def _square(x: float) -> float:
 def _product(*factors: float) -> float:
     """Their product, 0 when a factor is 0 even where another is inf (0 * inf is nan)."""
     return 0.0 if 0 in factors else math.prod(factors)
-
-
-def _zero_warning(B: VarianceProfile) -> list[str]:
-    return ["all-zero profile: bound degenerates to 0"] if B.is_zero else []
 
 
 def _select_case(beta: float, force_case: str | None) -> str:
@@ -161,8 +141,8 @@ def main_upper_bound(
         sqrt_log = _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_bar_inf, math.sqrt(L))
     log_term = _product(one_eps, _square(ce), P.sigma_star**2, L)
     return _report(
-        "main_upper_bound", case, e, leading,
-        [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
+        "main_upper_bound", case, B, e, leading,
+        [("sqrt_log", sqrt_log), ("log", log_term)], cfg,
     )
 
 
@@ -195,8 +175,8 @@ def schatten_upper_bound(
         sqrt_p = scale * cfg.C_universal * math.sqrt(p) * (P.sigma_C * P.sigma_star + Q.sigma_bar_p)
     tail = scale * cfg.C_prime * p * Q.b_p**2
     return _report(
-        "schatten_upper_bound", case, e, leading,
-        [("sqrt_p", sqrt_p), ("schatten_tail", tail)], cfg, _zero_warning(B),
+        "schatten_upper_bound", case, B, e, leading,
+        [("sqrt_p", sqrt_p), ("schatten_tail", tail)], cfg,
     )
 
 
@@ -207,8 +187,7 @@ def diagonal_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -
     leading = cfg.C_universal * math.sqrt(p) * Q.sigma_bar_p
     tail = cfg.C_universal * p * Q.b_p**2
     warnings = ["two-sided order estimate; both directions hold up to unspecified constants"]
-    warnings += _zero_warning(B)
-    return _report("diagonal_bound", CASE_NA, e, leading, [("schatten_tail", tail)], cfg, warnings)
+    return _report("diagonal_bound", CASE_NA, B, e, leading, [("schatten_tail", tail)], cfg, warnings)
 
 
 def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
@@ -222,8 +201,8 @@ def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport
     sqrt_log = _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_R * P.sigma_star, math.sqrt(L))
     log_term = _product(one_eps, _square(ce), P.sigma_star**2, L)
     return _report(
-        "chz_bound", CASE_NA, e, leading,
-        [("sqrt_log", sqrt_log), ("log", log_term)], cfg, _zero_warning(B),
+        "chz_bound", CASE_NA, B, e, leading,
+        [("sqrt_log", sqrt_log), ("log", log_term)], cfg,
     )
 
 
@@ -237,35 +216,31 @@ def free_probability_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -
     log34 = cfg.C_universal * mix * L**0.75
     log32 = cfg.C_universal * (P.sigma_star * P.sigma_C + P.sigma_star * P.sigma_R) * L**1.5
     return _report(
-        "free_probability_bound", CASE_NA, e, leading,
-        [("log34", log34), ("log32", log32)], cfg, _zero_warning(B),
+        "free_probability_bound", CASE_NA, B, e, leading,
+        [("log34", log34), ("log32", log32)], cfg,
     )
 
 
 def lower_bound_schatten(B: VarianceProfile, p: int) -> BoundReport:
     """sigma_p + sigma_C^2 + sqrt(p) sigma_bar_p + p b_p^2, a lower bound up to
     an unspecified universal constant."""
-    cfg = BoundConfig()
     e, P = normalized_params(B)
     _, Q = normalized_schatten_params(B, p)
     leading = Q.sigma_p + P.sigma_C**2
     warnings = ["lower bound holds up to an unspecified universal constant"]
-    warnings += _zero_warning(B)
     return _report(
-        "lower_bound_schatten", CASE_NA, e, leading,
+        "lower_bound_schatten", CASE_NA, B, e, leading,
         [("sqrt_p", math.sqrt(p) * Q.sigma_bar_p), ("schatten_tail", p * Q.b_p**2)],
-        cfg, warnings,
+        warnings=warnings,
     )
 
 
 def lower_bound_opnorm(B: VarianceProfile) -> BoundReport:
     """sigma_inf + sigma_C^2, a lower bound up to an unspecified constant."""
-    cfg = BoundConfig()
     e, P = normalized_params(B)
     warnings = ["lower bound holds up to an unspecified universal constant"]
-    warnings += _zero_warning(B)
     return _report(
-        "lower_bound_opnorm", CASE_NA, e, P.sigma_inf + P.sigma_C**2, [], cfg, warnings,
+        "lower_bound_opnorm", CASE_NA, B, e, P.sigma_inf + P.sigma_C**2, [], warnings=warnings,
     )
 
 
@@ -277,7 +252,6 @@ def kl_comparator(B: VarianceProfile) -> BoundReport:
     maximum.  For profiles whose columns are not identically distributed this
     is a heuristic comparison point, not a proved bound.
     """
-    cfg = BoundConfig()
     e, P = normalized_params(B)
     rk = P.eff_rank
     total = P.sigma_R**2 * max(math.sqrt(B.n * rk), rk)
@@ -285,6 +259,5 @@ def kl_comparator(B: VarianceProfile) -> BoundReport:
         "pair (sqrt(n rk), rk) interpreted as a maximum",
         "heuristic comparator for non-iid profiles",
     ]
-    warnings += _zero_warning(B)
-    return _report("kl_comparator", CASE_NA, e, total, [], cfg, warnings)
+    return _report("kl_comparator", CASE_NA, B, e, total, [], warnings=warnings)
 

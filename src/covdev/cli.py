@@ -17,6 +17,7 @@ compare.  Profiles come from --profile FILE (CSV or JSON) or from
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -52,11 +53,17 @@ def _float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields in declaration order, a field whose value is None left out."""
+    return {f.name: v for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None}
+
+
 _CONTROL = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """JSON with 17-significant-digit floats and insertion-ordered keys.
+    """JSON with 17-significant-digit floats and insertion-ordered keys; a
+    dataclass is written as the object of its fields (see _fields).
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" (from the beta
     conventions, or a parameter or bound beyond the float64 range).  Strings
@@ -94,6 +101,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if dataclasses.is_dataclass(obj):
+        return dumps_canonical(_fields(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -212,8 +221,8 @@ def cmd_params(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
     payload = {
         "profile": {"d": B.d, "n": B.n, "exact": B.exact},
-        "params": compute_params(B).to_dict(),
-        "schatten": [compute_schatten_params(B, p).to_dict() for p in args.p],
+        "params": compute_params(B),
+        "schatten": [compute_schatten_params(B, p) for p in args.p],
     }
     return payload, raw, 0
 
@@ -230,22 +239,22 @@ def cmd_bounds(args) -> tuple[dict, bytes, int]:
     cfg = _bound_config(args)
     main = bounds.main_upper_bound(B, cfg)
     reports = [
-        dict(main.to_dict(), branch_totals=_branch_totals(bounds.main_upper_bound, B, cfg)),
-        bounds.chz_bound(B, cfg).to_dict(),
-        bounds.free_probability_bound(B, cfg).to_dict(),
-        bounds.lower_bound_opnorm(B).to_dict(),
-        bounds.kl_comparator(B).to_dict(),
+        dict(_fields(main), branch_totals=_branch_totals(bounds.main_upper_bound, B, cfg)),
+        bounds.chz_bound(B, cfg),
+        bounds.free_probability_bound(B, cfg),
+        bounds.lower_bound_opnorm(B),
+        bounds.kl_comparator(B),
     ]
     for p in args.p:
         sch = bounds.schatten_upper_bound(B, p, cfg)
         reports.append(
-            dict(sch.to_dict(), p=p, branch_totals=_branch_totals(bounds.schatten_upper_bound, B, p, cfg))
+            dict(_fields(sch), p=p, branch_totals=_branch_totals(bounds.schatten_upper_bound, B, p, cfg))
         )
-        reports.append(dict(bounds.diagonal_bound(B, p, cfg).to_dict(), p=p))
-        reports.append(dict(bounds.lower_bound_schatten(B, p).to_dict(), p=p))
+        reports.append(dict(_fields(bounds.diagonal_bound(B, p, cfg)), p=p))
+        reports.append(dict(_fields(bounds.lower_bound_schatten(B, p)), p=p))
     payload = {
         "profile": {"d": B.d, "n": B.n, "exact": B.exact},
-        "params": compute_params(B).to_dict(),
+        "params": compute_params(B),
         "reports": reports,
     }
     return payload, raw, 0
@@ -255,7 +264,7 @@ def cmd_simulate(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
     cfg = montecarlo.SimConfig(seed=args.seed, samples=args.samples, p_list=tuple(args.p))
     estimates = montecarlo.estimate_deviation(B, cfg)
-    payload = {"config": cfg.to_dict(), "estimates": [e.to_dict() for e in estimates]}
+    payload = {"config": cfg, "estimates": estimates}
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("target,mean,stderr,samples,seed\n")
@@ -375,6 +384,8 @@ def _random_rational_profile(rng: np.random.Generator, d: int, n: int) -> Varian
 
 
 def cmd_verify(args) -> tuple[dict, bytes, int]:
+    if args.profiles < 1 or args.pmax < 1:  # a run that checks nothing must not pass
+        raise ValueError("verify needs --profiles >= 1 and --pmax >= 1")
     rng = np.random.default_rng(args.seed)
     profiles = [_random_rational_profile(rng, args.d, args.n) for _ in range(args.profiles)]
     checks = []
@@ -433,9 +444,23 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
 
 
 def cmd_compare(args) -> tuple[dict, bytes, int]:
+    """Empirical deviation norm next to the lower bound and the three upper
+    bounds, with the sandwich ratios.  Ratios are None when a denominator
+    vanishes (all-zero profile)."""
     B, raw = _profile_from_args(args)
     cfg = montecarlo.SimConfig(seed=args.seed, samples=args.samples)
-    payload = montecarlo.tightness_report(B, cfg, _bound_config(args))
+    bcfg = _bound_config(args)
+    est = montecarlo.estimate_deviation(B, cfg)[0]
+    lower, upper = bounds.lower_bound_opnorm(B), bounds.main_upper_bound(B, bcfg)
+    reports = (lower, upper, bounds.chz_bound(B, bcfg), bounds.free_probability_bound(B, bcfg))
+    payload = {
+        "estimate": est,
+        "bounds": {report.bound_name: report for report in reports},
+        "ratios": {
+            "empirical_over_lower": est.mean / lower.total if lower.total > 0 else None,
+            "upper_over_empirical": upper.total / est.mean if est.mean > 0 else None,
+        },
+    }
     return payload, raw, 0
 
 
@@ -547,11 +572,12 @@ def main(argv=None) -> int:
         payload, raw, status = args.fn(args)
     except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError,
             RecursionError) as exc:
-        payload, raw, status = {"error": {"type": type(exc).__name__, "message": str(exc)}}, None, 2
+        message = str(exc) or type(exc).__name__  # a bare MemoryError() has no message
+        payload, raw, status = {"error": {"type": type(exc).__name__, "message": message}}, None, 2
         if getattr(exc, "line", None) is not None:
             payload["error"]["line"] = exc.line
         command = getattr(exc, "command", command)
-        print(f"covdev: {exc}", file=sys.stderr)
+        print(f"covdev: {message}", file=sys.stderr)
     try:
         print(dumps_canonical(_envelope(command, payload, raw)), flush=True)
     except BrokenPipeError:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundConfig, chz_bound, free_probability_bound, lower_bound_opnorm, main_upper_bound
 from .profile import VarianceProfile
 
 # Chunk budget, split between the threads: the bytes of the draws in flight,
@@ -51,9 +50,6 @@ class SimConfig:
             if not isinstance(p, int) or p < 2 or p % 2:
                 raise ValueError(f"p must be an even integer >= 2, got {p!r}")
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "samples": self.samples, "p_list": list(self.p_list)}
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -63,12 +59,6 @@ class MomentEstimate:
     samples: int
     seed: int
     mean_root: float | None = None  # mean**(1/p) for Schatten targets
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.mean_root is None:
-            del out["mean_root"]
-        return out
 
 
 def _restartable_stream(seed: int):
@@ -172,21 +162,3 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
         ))
     return out
 
-
-def tightness_report(B: VarianceProfile, cfg: SimConfig, bcfg: BoundConfig | None = None) -> dict:
-    """Empirical deviation norm next to the lower bound and the three upper
-    bounds, with the sandwich ratios.  Ratios are None when a denominator
-    vanishes (all-zero profile)."""
-    bcfg = bcfg or BoundConfig()
-    est = estimate_deviation(B, cfg)[0]
-    lower, upper = lower_bound_opnorm(B), main_upper_bound(B, bcfg)
-    bounds = {"lower_bound_opnorm": lower, "main_upper_bound": upper,
-              "chz_bound": chz_bound(B, bcfg), "free_probability_bound": free_probability_bound(B, bcfg)}
-    return {
-        "estimate": est.to_dict(),
-        "bounds": {name: report.to_dict() for name, report in bounds.items()},
-        "ratios": {
-            "empirical_over_lower": est.mean / lower.total if lower.total > 0 else None,
-            "upper_over_empirical": upper.total / est.mean if est.mean > 0 else None,
-        },
-    }

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class ProfileParams:
     beta_inf: float  # extended real, may be math.inf
     eff_rank: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class SchattenParams:
@@ -82,9 +79,6 @@ class SchattenParams:
     sigma_bar_p: float
     b_p: float
     beta_p: float
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _beta(numer: float, denom: float) -> float:

@@ -313,7 +313,8 @@ def bounded_ratio(base: VarianceProfile, K: float) -> VarianceProfile:
     if not K >= 1:  # NaN too
         raise ValueError("bounded_ratio requires K >= 1")
     arr = base.as_array()
-    norms = np.sqrt((arr * arr).sum(axis=0))
+    e = np.frexp(arr.max(axis=0))[1]  # each column's norm taken of it scaled near 1, so no square sum overflows
+    norms = np.ldexp(np.sqrt(np.square(np.ldexp(arr, -e)).sum(axis=0)), e)
     target = norms.max() / K
     factors = np.divide(target, norms, out=np.ones(base.n), where=(norms > 0) & (norms < target))
     if np.all(factors == 1.0):

@@ -6,9 +6,10 @@ where possible) so the library implementations are checked against an
 independent path.  The references are a profile's cells as Python objects
 (`entries`), a scaled profile (`scaled`), the structured families'
 closed-form parameters (`closed_form_params`) and the all-ones profile's
-moment bound (`standard_gaussian_bound`).
+moment bound (`standard_gaussian_bound`).  `cli_payload` runs the CLI.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,13 @@ import numpy as np
 import pytest
 
 from covdev import BoundConfig, BoundReport, ProfileDomainError, ProfileParams, VarianceProfile
+from covdev.cli import main
+
+
+def cli_payload(capsys, argv) -> dict:
+    """The payload of the envelope `covdev.cli.main(argv)` prints; the run must exit 0."""
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["payload"]
 
 
 def entries(B: VarianceProfile) -> tuple[tuple, ...]:

@@ -19,7 +19,7 @@ from covdev import (
     schatten_upper_bound,
 )
 
-from conftest import close, float_profile, scaled, standard_gaussian_bound
+from conftest import cli_payload, close, float_profile, scaled, standard_gaussian_bound
 
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
 CONST22 = rank_one([1] * 2, [1] * 2)
@@ -298,8 +298,12 @@ class TestBoundConfig:
         assert dict(lit.error_terms)["log"] == 0.0
         assert dict(flo.error_terms)["log"] > 0.0
 
-    def test_constants_echoed(self):
+    def test_constants_echoed(self, capsys):
         cfg = BoundConfig(epsilon=0.3, C_universal=2.5, C_prime=0.5)
         r = main_upper_bound(CONST22, cfg)
         assert r.constants_used == cfg
-        assert r.to_dict()["constants_used"]["C_universal"] == 2.5
+        argv = ["bounds", "--family", "constant", "--d", "2", "--n", "2",
+                "--epsilon", "0.3", "--const", "2.5", "--const-prime", "0.5"]
+        report = cli_payload(capsys, argv)["reports"][0]
+        assert report["bound_name"] == "main_upper_bound"
+        assert report["constants_used"] == {"epsilon": 0.3, "C_universal": 2.5, "C_prime": 0.5, "log_floor": "literal"}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covdev import diag_trace_moment, load_profile, montecarlo, shapes
+from covdev import bounded_ratio, diag_trace_moment, load_profile, montecarlo, oracle, shapes
 from covdev.cli import dumps_canonical, main
 
 
@@ -307,6 +307,19 @@ class TestFloatRangeEdge:
             assert reports[name]["total"] == reports[name]["leading_term"]
         assert all(math.isfinite(t) for t in reports["main_upper_bound"]["branch_totals"].values())
 
+    @pytest.mark.filterwarnings("error")
+    def test_bounded_ratio_base_near_1e200(self, capsys, tmp_path):
+        # the column norms of the base pass 1e154 (their squares overflow) while the result is finite
+        path = tmp_path / "huge.csv"
+        path.write_text("1e200,1\n1e200,1\n")
+        status, out, err = run_cli(
+            capsys, "params", "--family", "bounded_ratio", "--d", "2", "--n", "2", "--K", "2", "--profile", str(path)
+        )
+        assert status == 0 and err == ""
+        assert payload_of(out)["params"]["sigma_C"] == pytest.approx(math.sqrt(2) * 1e200)
+        norms = np.hypot.reduce(bounded_ratio(load_profile(path.read_text()), 2.0).as_array(), axis=0)
+        assert np.all(np.isfinite(norms)) and norms.max() <= 2.0 * norms.min() * (1 + 1e-12)
+
 
 class TestSimulateCommand:
     def test_estimates_and_csv(self, capsys, profile_file, tmp_path):
@@ -358,6 +371,16 @@ class TestSimulateCommand:
         assert status == 2
         assert payload_of(out)["error"] == {"type": "MemoryError", "message": "cannot allocate workspace"}
         assert "Traceback" not in err
+
+    def test_bare_memory_error_names_its_type(self, capsys, profile_file, monkeypatch):
+        def exhausted(M):
+            raise MemoryError()
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", exhausted)
+        status, out, err = run_cli(capsys, "simulate", "--profile", profile_file, "--samples", "5")
+        assert status == 2
+        assert payload_of(out)["error"] == {"type": "MemoryError", "message": "MemoryError"}
+        assert err == "covdev: MemoryError\n"
 
     def test_memory_error_in_threaded_chunks_exit_2(self, capsys, monkeypatch):
         def exhausted(M):
@@ -551,6 +574,16 @@ class TestVerifyCommand:
         assert checks["shape_sum_vs_oracle"]["pass"] is False
         assert checks["shape_sum_vs_oracle"]["mismatches"] > 0
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [("--profiles", "-1"), ("--profiles", "0"), ("--pmax", "0")])
+    def test_nothing_to_check_exit_2(self, capsys, monkeypatch, option):
+        monkeypatch.setattr(oracle, "joint_moment_table", lambda *a: pytest.fail("verify started its checks"))
+        status, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "2", *option)
+        assert status == 2
+        assert payload_of(out)["error"] == {
+            "type": "ValueError", "message": "verify needs --profiles >= 1 and --pmax >= 1"
+        }
+        assert err == "covdev: verify needs --profiles >= 1 and --pmax >= 1\n"
 
     def test_p1_vacuous(self, capsys):
         status, out, _ = run_cli(capsys, "verify", "--pmax", "1", "--profiles", "2")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from covdev import (
-    BoundConfig,
     SimConfig,
     VarianceProfile,
     diag_trace_moment,
@@ -19,11 +18,10 @@ from covdev import (
     lower_bound_opnorm,
     main_upper_bound,
     rank_one,
-    tightness_report,
 )
 from covdev import montecarlo
 
-from conftest import scaled
+from conftest import cli_payload, scaled
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 ZERO = load_profile("[[0,0],[0,0]]", format="json")
@@ -391,8 +389,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="even integer"):
             SimConfig(seed=0, samples=10, p_list=p_list)
 
-    def test_to_dict_keys(self):
-        assert SimConfig(seed=1, samples=5, p_list=(2, 4)).to_dict() == {"seed": 1, "samples": 5, "p_list": [2, 4]}
+    def test_to_dict_keys(self, capsys):
+        # the config as the simulate payload writes it
+        argv = ["simulate", "--family", "constant", "--d", "2", "--n", "2",
+                "--seed", "1", "--samples", "5", "--p", "2,4"]
+        assert cli_payload(capsys, argv)["config"] == {"seed": 1, "samples": 5, "p_list": [2, 4]}
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -400,14 +401,19 @@ class TestSimConfig:
 
 
 class TestTightnessReport:
-    def test_zero_profile_ratios_na(self):
-        rep = tightness_report(ZERO, SimConfig(seed=0, samples=5))
+    """The compare payload."""
+
+    def test_zero_profile_ratios_na(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text("[[0,0],[0,0]]")
+        rep = cli_payload(capsys, ["compare", "--profile", str(path), "--seed", "0", "--samples", "5"])
         assert rep["ratios"]["empirical_over_lower"] is None
         assert rep["ratios"]["upper_over_empirical"] is None
 
-    def test_sandwich_on_wishart(self):
-        B = rank_one([1] * 10, [1] * 40)
-        rep = tightness_report(B, SimConfig(seed=7, samples=100), BoundConfig())
+    def test_sandwich_on_wishart(self, capsys):
+        # the constant profile rank_one([1] * 10, [1] * 40), at the default bound constants
+        argv = ["compare", "--family", "constant", "--d", "10", "--n", "40", "--seed", "7", "--samples", "100"]
+        rep = cli_payload(capsys, argv)
         est = rep["estimate"]
         assert rep["bounds"]["lower_bound_opnorm"]["total"] <= est["mean"] + 5 * est["stderr"]
         assert est["mean"] <= rep["bounds"]["main_upper_bound"]["total"]

@@ -23,6 +23,7 @@ Warnings are errors: no overflow or underflow may be signalled on the way.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -62,11 +63,11 @@ TWO_BRANCH = ("main_upper_bound", "schatten_upper_bound")
 def outputs(B):
     """[(Schatten order or None, name, value)] for every parameter and bound
     total, and {(order, bound name): case_taken}."""
-    values = [(None, f, v) for f, v in compute_params(B).to_dict().items()]
+    values = [(None, f, v) for f, v in asdict(compute_params(B)).items()]
     reports = [(None, r) for r in (main_upper_bound(B), chz_bound(B), free_probability_bound(B),
                                    lower_bound_opnorm(B), kl_comparator(B))]
     for p in ORDERS:
-        values += [(p, f, v) for f, v in compute_schatten_params(B, p).to_dict().items()]
+        values += [(p, f, v) for f, v in asdict(compute_schatten_params(B, p)).items()]
         reports += [(p, schatten_upper_bound(B, p)), (p, diagonal_bound(B, p)), (p, lower_bound_schatten(B, p))]
     values += [(p, r.bound_name, r.total) for p, r in reports]
     return values, {(p, r.bound_name): r.case_taken for p, r in reports}
@@ -121,7 +122,7 @@ def test_exact_profile_below_the_float_range(k):
     e, P = normalized_params(B)
     assert normalized_params(tiny) == (e - k, P)
     for p in ORDERS:
-        (e_tiny, got), want = normalized_schatten_params(tiny, p), normalized_schatten_params(B, p)[1].to_dict()
+        (e_tiny, got), want = normalized_schatten_params(tiny, p), asdict(normalized_schatten_params(B, p)[1])
         assert e_tiny == e - k
-        for name, value in got.to_dict().items():  # the roots: see the module docstring
+        for name, value in asdict(got).items():  # the roots: see the module docstring
             assert math.isclose(value, want[name], rel_tol=ROOT_DRIFT if p >= 6 else LAST_PLACES), (p, name)

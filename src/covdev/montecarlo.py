@@ -161,4 +161,3 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
             seed=cfg.seed, mean_root=mean ** (1.0 / p) if mean >= 0 else None,
         ))
     return out
-

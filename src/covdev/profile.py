@@ -313,7 +313,7 @@ def bounded_ratio(base: VarianceProfile, K: float) -> VarianceProfile:
     if not K >= 1:  # NaN too
         raise ValueError("bounded_ratio requires K >= 1")
     arr = base.as_array()
-    e = np.frexp(arr.max(axis=0))[1]  # each column's norm taken of it scaled near 1, so no square sum overflows
+    e = np.frexp(arr.max(axis=0))[1]  # columns scaled near 1 before squaring: no sum overflows
     norms = np.ldexp(np.sqrt(np.square(np.ldexp(arr, -e)).sum(axis=0)), e)
     target = norms.max() / K
     factors = np.divide(target, norms, out=np.ones(base.n), where=(norms > 0) & (norms < target))

@@ -16,7 +16,6 @@ from covdev import (
     full_trace_moment,
     load_profile,
     lower_bound_opnorm,
-    main_upper_bound,
     rank_one,
 )
 from covdev import montecarlo

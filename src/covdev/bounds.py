@@ -3,7 +3,9 @@
 Each evaluator returns a BoundReport with the bound split into a leading term
 and labelled error terms.  Universal constants that the underlying results
 leave unspecified are taken from BoundConfig (default 1) and echoed back in
-every report.  Term labels are stable identifiers:
+`constants_used` by each report that reads them; the two lower bounds and
+the KL comparator read none and leave it None.  Term labels are stable
+identifiers:
 
     "leading"        first summand(s) of the bound
     "sqrt_log"       coefficient of sqrt(log(n ^ d))
@@ -65,13 +67,13 @@ class BoundReport:
     leading_term: float
     error_terms: tuple[tuple[str, float], ...]
     total: float
-    constants_used: BoundConfig
+    constants_used: BoundConfig | None = None  # None: the evaluator reads no constant
     warnings: tuple[str, ...] = ()
 
 
 def _report(name, case, B, e, leading, errors, cfg=None, warnings=()) -> BoundReport:
     """The report of terms evaluated on 2^-e B, each and their total scaled by 2^(2e),
-    under cfg (default BoundConfig()); an all-zero B adds a warning after the others."""
+    under cfg (None if no constant was read); an all-zero B adds a warning after the others."""
     total = leading + sum(value for _, value in errors)
     if B.is_zero:
         warnings = [*warnings, "all-zero profile: bound degenerates to 0"]
@@ -81,7 +83,7 @@ def _report(name, case, B, e, leading, errors, cfg=None, warnings=()) -> BoundRe
         leading_term=_ldexp(leading, 2 * e),
         error_terms=tuple((label, _ldexp(value, 2 * e)) for label, value in errors),
         total=_ldexp(total, 2 * e),
-        constants_used=cfg or BoundConfig(),
+        constants_used=cfg,
         warnings=tuple(warnings),
     )
 

@@ -307,3 +307,15 @@ class TestBoundConfig:
         report = cli_payload(capsys, argv)["reports"][0]
         assert report["bound_name"] == "main_upper_bound"
         assert report["constants_used"] == {"epsilon": 0.3, "C_universal": 2.5, "C_prime": 0.5, "log_floor": "literal"}
+
+    def test_reports_name_only_the_constants_they_read(self, capsys):
+        # the lower bounds and the KL comparator read no constant, so they echo none
+        argv = ["bounds", "--family", "constant", "--d", "2", "--n", "2", "--const", "2.5"]
+        reports = cli_payload(capsys, argv)["reports"]
+        echoed = {r["bound_name"]: r["constants_used"]["C_universal"] for r in reports if "constants_used" in r}
+        assert echoed == dict.fromkeys(
+            ["main_upper_bound", "schatten_upper_bound", "diagonal_bound", "chz_bound", "free_probability_bound"], 2.5
+        )
+        assert {r["bound_name"] for r in reports} - set(echoed) == {
+            "lower_bound_schatten", "lower_bound_opnorm", "kl_comparator",
+        }

@@ -28,10 +28,10 @@ from .montecarlo import (
 from .oracle import (
     ExactMoment,
     diag_trace_moment,
-    full_trace_moment,
     joint_moment,
     joint_moment_table,
     offdiag_trace_moment,
+    trace_moments,
 )
 from .params import (
     ProfileParams,
@@ -71,7 +71,7 @@ __all__ = [
     "L_value", "W_value", "trace_moment_via_shapes",
     "check_opnorm_ceiling", "check_schatten_ceiling",
     "ExactMoment", "joint_moment", "joint_moment_table",
-    "offdiag_trace_moment", "diag_trace_moment", "full_trace_moment",
+    "offdiag_trace_moment", "diag_trace_moment", "trace_moments",
     "SimConfig", "MomentEstimate",
     "estimate_deviation",
 ]

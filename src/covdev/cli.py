@@ -284,11 +284,11 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
 
     payload = {"profile": {"d": B.d, "n": B.n, "exact": B.exact}, "moments": [], "shape_sums": []}
     for p in args.p or [2]:
-        off = oracle.offdiag_trace_moment(B, p, cap=args.cap)
+        off, full = oracle.trace_moments(B, p, cap=args.cap)
         payload["moments"] += [
             moment_dict(off),
             moment_dict(oracle.diag_trace_moment(B, p, cap=args.cap)),
-            moment_dict(oracle.full_trace_moment(B, p, cap=args.cap)),
+            moment_dict(full),
         ]
         if args.shape_sum:
             sv = shapes.trace_moment_via_shapes(B, p)
@@ -514,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_args(so)
     so.add_argument("--p", type=_parse_int_list, default=[2])
     so.add_argument("--cap", type=int, default=oracle.DEFAULT_TERM_CAP,
-                    help="work cap: walk nodes per off-diagonal or full moment, multiply-adds per diagonal one")
+                    help="work cap: walk nodes per order (one walk gives the off-diagonal and full moments), "
+                    "multiply-adds per diagonal moment")
     so.add_argument("--shape-sum", action="store_true", help="also print the shape-sum value and difference")
     so.set_defaults(fn=cmd_oracle)
 

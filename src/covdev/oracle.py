@@ -17,17 +17,18 @@ value of each float64 cell (D is a power of two) and is rounded once at the
 end, so its moments are correctly rounded.
 
 The off-diagonal and full moments sum over the closed paths u_1 -> v_1 ->
-u_2 -> ... -> v_p -> u_1.  The p rotations of a path traverse the same cells
-as often, so they have one term: only the paths with u_1 = min_k u_k are
-walked, each weighted by p/c with c = #{k : u_k = u_1}.  The walk goes depth
-first over concrete labels, keeping the plain and centered traversal counts
-of each cell.  A cell is unfinished while its expectation a_{plain, centered}
-is zero as it stands.  A branch is pruned when it reaches a zero cell, when
-more cells are unfinished than half-steps remain, or when the forced return
-to u_1 does not finish exactly the unfinished cells.  Work is capped by a
-count, not by time, so resource errors are deterministic: walk nodes (one
-per cell traversal added) for these two moments, multiply-adds for the
-diagonal one, whose row moments are convolved one column at a time.
+u_2 -> ... -> v_p -> u_1, the off-diagonal one over those with no diagonal
+step u_{k+1} = u_k, so one walk per order gives both.  The p rotations of a
+path traverse the same cells as often, so they have one term: only the paths
+with u_1 = min_k u_k are walked, each weighted by p/c, c = #{k : u_k = u_1}.
+The walk goes depth first over concrete labels, keeping the plain and
+centered traversal counts of each cell.  A cell is unfinished while its
+expectation a_{plain, centered} is zero as it stands.  A branch is pruned at
+a zero cell, when more cells are unfinished than half-steps remain, or when
+the forced return to u_1 does not finish exactly the unfinished cells.  Work
+is capped by a count, not by time, so resource errors are deterministic:
+walk nodes (one per cell traversal added), and multiply-adds for the
+diagonal moment, whose row moments are convolved one column at a time.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ def _moment(B: VarianceProfile, p: int, kind: str, total: int) -> ExactMoment:
     return ExactMoment(value=value if B.exact else _float(value), p=p, kind=kind)
 
 
-def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> int:
+def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> tuple[int, int]:
     """D^{2p} times the sum over closed paths of the expectation of their entry
-    product.  A step u_k -> v_k -> u_{k+1} is two half-steps, each a plain
-    traversal (a factor b g) of a cell; with diagonal steps on, u_{k+1} = u_k
-    is one centered traversal of (u_k, v_k), a factor b^2 (g^2 - 1).
+    product, over the paths with no centered step and over all.  A step u_k ->
+    v_k -> u_{k+1} is two half-steps, each a plain traversal (a factor b g) of a
+    cell; with diagonal steps on, u_{k+1} = u_k is one centered traversal of
+    (u_k, v_k), a factor b^2 (g^2 - 1).  The walk counts those steps in z.
 
     Only paths with every u_k >= u_1 are walked, their terms summed into T_c
     by c = #{k : u_k = u_1}, and the sum is sum_c p T_c / c.  Pairing a path
@@ -91,85 +93,98 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> int:
     N = B.numerators[0].ravel().tolist()  # cell a = (a // n, a % n)
     plain, cent = [0] * len(N), [0] * len(N)
     unfinished: set[int] = set()
-    path: list[int] = []
-    totals = [0] * (p + 1)  # T_c: the canonical paths' sum, by c = #{k : u_k = u_1}
-    nodes = first = 0  # first: u_1 = min_k u_k of the paths being walked
+    path: list[int] = []  # the cells traversed, once per traversal
+    off, full = [0] * (p + 1), [0] * (p + 1)  # T_c: the canonical paths' sums, by c = #{k : u_k = u_1}
+    nodes = first = 0  # nodes: cell traversals added; first: u_1 = min_k u_k of the paths being walked
 
-    def move(a: int, dp: int, dc: int) -> None:
-        """Add (or, negative, take back) traversals of cell a: one walk node."""
-        nonlocal nodes
-        x = plain[a] = plain[a] + dp
-        y = cent[a] = cent[a] + dc
-        if x & 1 or (x == 0 and y == 1):
+    def mark(a: int) -> None:
+        """Keep cell a in `unfinished` while a_{plain, centered} is zero as it stands."""
+        x = plain[a]
+        if x & 1 or (x == 0 and cent[a] == 1):
             unfinished.add(a)
         else:
             unfinished.discard(a)
-        if dp + dc < 0:
-            path.pop()
-            return
-        path.append(a)
-        nodes += 1
+
+    def leaf(c: int, z: int, dp: tuple[int, ...], dc: tuple[int, ...]) -> None:
+        """Add the term of the path closed by one more plain (dp) or centered (dc) traversal of each cell."""
+        term = 1
+        for a in set(path):
+            x, y = plain[a] + (a in dp), cent[a] + (a in dc)
+            term *= N[a] ** (x + 2 * y) * joint_moment(x, y)
+        full[c] += term
+        if z == 0:
+            off[c] += term
+
+    def walk(k: int, u: int, c: int, z: int) -> None:
+        """Extend the path u_1 .. u_k = u, c of whose rows are u_1; each unfinished cell needs a half-step."""
+        nonlocal nodes
         if nodes > cap:
             raise ResourceLimitError(f"direct expansion visits more than {cap} walk nodes")
-
-    def finish(steps: list[tuple[int, int, int]], c: int) -> None:
-        for step in steps:
-            move(*step)
-        if not unfinished:
-            term = 1
-            for a in set(path):
-                term *= N[a] ** (plain[a] + 2 * cent[a]) * joint_moment(plain[a], cent[a])
-            totals[c] += term
-        for a, dp, dc in reversed(steps):
-            move(a, -dp, -dc)
-
-    def walk(k: int, u: int, c: int) -> None:
-        """Extend the path u_1 .. u_k = u, c of whose rows are u_1, with
-        2(p - k + 1) half-steps left; each unfinished cell needs one of them."""
         left = 2 * (p - k)  # half-steps left after the step u_k -> v_k -> u_{k+1}
         if k == p:  # the return to u_1 must finish every unfinished cell
-            if u != first and len(unfinished) == 2:  # so v_p is their column
+            if u != first and len(unfinished) == 2:  # so v_p is their column; both return cells must be odd
                 v = next(iter(unfinished)) % n
-                finish([(u * n + v, 1, 0), (first * n + v, 1, 0)], c)
-            elif u == first and diagonal and len(unfinished) <= 1:
+                a, b = u * n + v, first * n + v
+                nodes += 2
+                if plain[a] & plain[b] & 1:
+                    leaf(c, z, (a, b), ())
+            elif u == first and diagonal and len(unfinished) <= 1:  # a centered cell of row u
                 for a in list(unfinished) or range(u * n, u * n + n):
                     if a // n == u:
-                        finish([(a, 0, 1)], c)
+                        nodes += 1
+                        if plain[a] % 2 == 0 < plain[a] + cent[a]:
+                            leaf(c, z + 1, (), (a,))
             return
         for a in range(u * n, u * n + n):
             if not N[a]:
                 continue
-            move(a, 1, 0)
+            plain[a] += 1
+            mark(a)
+            path.append(a)
+            nodes += 1
             if len(unfinished) <= left + 1:
                 for b in range(first * n + a % n, len(N), n):  # rows u_{k+1} >= u_1
                     if b != a and N[b]:
-                        move(b, 1, 0)
+                        plain[b] += 1
+                        mark(b)
+                        path.append(b)
+                        nodes += 1
                         if len(unfinished) <= left:
-                            walk(k + 1, b // n, c + (b // n == first))
-                        move(b, -1, 0)
-            move(a, -1, 0)
+                            walk(k + 1, b // n, c + (b // n == first), z)
+                        plain[b] -= 1
+                        mark(b)
+                        path.pop()
+            plain[a] -= 1
             if diagonal:
-                move(a, 0, 1)
+                cent[a] += 1
+                mark(a)
+                nodes += 1
                 if len(unfinished) <= left:
-                    walk(k + 1, u, c + (u == first))
-                move(a, 0, -1)
+                    walk(k + 1, u, c + (u == first), z + 1)
+                cent[a] -= 1
+            mark(a)
+            path.pop()
 
     for first in range(B.d):
-        walk(1, first, 1)
-    assert all(p * t % c == 0 for c, t in enumerate(totals) if c), "a rotation class was not walked whole"
-    return sum(p * t // c for c, t in enumerate(totals) if c)
+        walk(1, first, 1, 0)
+    if nodes > cap:
+        raise ResourceLimitError(f"direct expansion visits more than {cap} walk nodes")
+    for totals in (off, full):
+        assert all(p * t % c == 0 for c, t in enumerate(totals) if c), "a rotation class was not walked whole"
+    return sum(p * t // c for c, t in enumerate(off) if c), sum(p * t // c for c, t in enumerate(full) if c)
 
 
 def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
     """E Tr(offdiag(X X^T))^p: the closed paths with u_k != u_{k+1} (cyclically),
-    whose expectation is the product over cells of b^c mu(c)."""
-    return _moment(B, p, "offdiag", _path_sum(B, p, False, cap))
+    whose expectation is the product over cells of b^c mu(c): a walk with no diagonal step."""
+    return _moment(B, p, "offdiag", _path_sum(B, p, False, cap)[0])
 
 
-def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
-    """E Tr(X X^T - E X X^T)^p: the closed paths with diagonal steps, whose
-    expectation is the product over cells of b^e a_{plain, centered}."""
-    return _moment(B, p, "full", _path_sum(B, p, True, cap))
+def trace_moments(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> tuple[ExactMoment, ExactMoment]:
+    """(E Tr(offdiag(X X^T))^p, E Tr(X X^T - E X X^T)^p) from one walk with diagonal steps, whose
+    expectation is the product over cells of b^e a_{plain, centered}; `cap` bounds that walk's nodes."""
+    off, full = _path_sum(B, p, True, cap)
+    return _moment(B, p, "offdiag", off), _moment(B, p, "full", full)
 
 
 def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:

@@ -5,8 +5,9 @@ The naive oracles recompute quantities with plain loops (exact Fractions
 where possible) so the library implementations are checked against an
 independent path.  The references are a profile's cells as Python objects
 (`entries`), a scaled profile (`scaled`), the structured families'
-closed-form parameters (`closed_form_params`) and the all-ones profile's
-moment bound (`standard_gaussian_bound`).  `cli_payload` runs the CLI.
+closed-form parameters (`closed_form_params`), the all-ones profile's
+moment bound (`standard_gaussian_bound`) and the full trace moment alone
+(`full_trace_moment`).  `cli_payload` runs the CLI.
 """
 
 import json
@@ -17,8 +18,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covdev import BoundConfig, BoundReport, ProfileDomainError, ProfileParams, VarianceProfile
+from covdev import (
+    BoundConfig, BoundReport, ExactMoment, ProfileDomainError, ProfileParams, VarianceProfile, trace_moments,
+)
 from covdev.cli import main
+from covdev.oracle import DEFAULT_TERM_CAP
 
 
 def cli_payload(capsys, argv) -> dict:
@@ -88,6 +92,11 @@ def naive_squared_params(B: VarianceProfile) -> dict:
         out["sigma_tilde2"] = Fraction(0) if B.exact else 0.0
         out["sigma_inf2"] = Fraction(0) if B.exact else 0.0
     return out
+
+
+def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
+    """E Tr(X X^T - E X X^T)^p, the second moment `trace_moments` gives."""
+    return trace_moments(B, p, cap)[1]
 
 
 def naive_offdiag_p2(B: VarianceProfile):

@@ -28,7 +28,6 @@ from covdev import (
     enumerate_shapes,
     estimate_deviation,
     free_probability_bound,
-    full_trace_moment,
     joint_moment,
     kl_comparator,
     load_profile,
@@ -47,6 +46,7 @@ from conftest import (
     closed_form_params,
     entries,
     float_profile,
+    full_trace_moment,
     naive_diag_p2,
     naive_offdiag_p2,
     rational_profile,

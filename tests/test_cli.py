@@ -425,6 +425,18 @@ class TestOracleCommand:
         }
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cap, status", [(9479, 2), (9480, 0)])
+    def test_cap_bounds_the_walk_with_diagonal_steps(self, capsys, cap, status):
+        # on the constant 4x4 profile at p = 4 that walk takes 9,480 nodes, the one without 3,472
+        argv = ["oracle", "--family", "constant", "--d", "4", "--n", "4", "--p", "4", "--cap", str(cap)]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == status and "Traceback" not in err
+        if status == 2:
+            assert payload_of(out)["error"] == {
+                "type": "ResourceLimitError", "message": "direct expansion visits more than 9479 walk nodes",
+            }
+        else:
+            assert [m["kind"] for m in payload_of(out)["moments"]] == ["offdiag", "diag", "full"]
 
     def test_shape_sum_above_shape_cap_exit_2(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

@@ -13,14 +13,13 @@ from covdev import (
     VarianceProfile,
     diag_trace_moment,
     estimate_deviation,
-    full_trace_moment,
     load_profile,
     lower_bound_opnorm,
     rank_one,
 )
 from covdev import montecarlo
 
-from conftest import cli_payload, scaled
+from conftest import cli_payload, full_trace_moment, scaled
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 ZERO = load_profile("[[0,0],[0,0]]", format="json")

@@ -9,15 +9,17 @@ from covdev import (
     ResourceLimitError,
     VarianceProfile,
     diag_trace_moment,
-    full_trace_moment,
     joint_moment,
     load_profile,
     offdiag_trace_moment,
     rank_one,
     trace_moment_via_shapes,
+    trace_moments,
 )
 
-from conftest import entries, float_profile, naive_diag_p2, naive_offdiag_p2, rational_profile, scaled
+from conftest import (
+    entries, float_profile, full_trace_moment, naive_diag_p2, naive_offdiag_p2, rational_profile, scaled,
+)
 
 B2212 = load_profile("1,2\n3,4", format="csv")
 
@@ -321,6 +323,19 @@ class TestWalkAgainstProductExpansion:
                         assert got == want and isinstance(got, Fraction), (name, p, entries(B))
                     else:  # the correctly rounded exact moment of the float cells
                         assert isinstance(got, float) and got == float(want), (name, p, entries(B))
+
+    @pytest.mark.parametrize("d,n,pmax", SIZES)
+    def test_one_walk_offdiag_is_the_walk_without_diagonal_steps(self, d, n, pmax):
+        # the walk with diagonal steps keeps its paths with no centered step apart
+        for B in reference_profiles(d, n, seed=40 + 10 * d + n):
+            for p in range(1, pmax + 1):
+                off, full = trace_moments(B, p)
+                want = offdiag_trace_moment(B, p)
+                assert (off.kind, off.p, full.kind, full.p) == ("offdiag", p, "full", p)
+                if B.exact:
+                    assert off.value == want.value and isinstance(off.value, Fraction), (p, entries(B))
+                else:
+                    assert off.value.hex() == want.value.hex(), (p, entries(B))
 
     def test_float_moments_bitwise_invariant_under_permutations(self):
         rng = np.random.default_rng(41)

@@ -3,7 +3,9 @@
 The library computes the scalar parameters and closed-form bounds for
 ||X X^T - E X X^T|| where X_ij = b_ij g_ij, verifies the underlying
 per-shape combinatorics exactly at desk scale, and estimates the same
-quantities by seeded Monte Carlo.
+quantities by seeded Monte Carlo.  The exact engines (oracle moments, shape
+weights and sums) return Fractions for float and exact profiles alike; the
+CLI rounds them once for its reports.
 """
 
 __version__ = "0.1.0"
@@ -26,7 +28,6 @@ from .montecarlo import (
     estimate_deviation,
 )
 from .oracle import (
-    ExactMoment,
     diag_trace_moment,
     joint_moment,
     joint_moment_table,
@@ -70,7 +71,7 @@ __all__ = [
     "Shape", "CeilingWitness", "enumerate_shapes",
     "L_value", "W_value", "trace_moment_via_shapes",
     "check_opnorm_ceiling", "check_schatten_ceiling",
-    "ExactMoment", "joint_moment", "joint_moment_table",
+    "joint_moment", "joint_moment_table",
     "offdiag_trace_moment", "diag_trace_moment", "trace_moments",
     "SimConfig", "MomentEstimate",
     "estimate_deviation",

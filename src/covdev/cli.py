@@ -7,7 +7,9 @@ failure, running out of memory or out of recursion depth), always with a JSON
 error envelope, or a stdout closed before the envelope is written.
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
-envelope timestamp is the only varying field).
+envelope timestamp is the only varying field).  The exact engines (oracle,
+shape weights and sums) return Fractions for every profile; this module
+rounds each once for its report, and compares them before rounding.
 
 Subcommands: params, bounds, simulate, oracle, shapes, examples, verify,
 compare.  Profiles come from --profile FILE (CSV or JSON) or from
@@ -276,23 +278,23 @@ def cmd_simulate(args) -> tuple[dict, bytes, int]:
 def cmd_oracle(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
 
-    def moment_dict(m: oracle.ExactMoment) -> dict:
-        out = {"kind": m.kind, "p": m.p, "value": _float(m.value)}
+    def moment_dict(kind: str, p: int, value: Fraction) -> dict:
+        out = {"kind": kind, "p": p, "value": _float(value)}
         if B.exact:
-            out["exact"] = m.value
+            out["exact"] = value
         return out
 
     payload = {"profile": {"d": B.d, "n": B.n, "exact": B.exact}, "moments": [], "shape_sums": []}
     for p in args.p or [2]:
         off, full = oracle.trace_moments(B, p, cap=args.cap)
         payload["moments"] += [
-            moment_dict(off),
-            moment_dict(oracle.diag_trace_moment(B, p, cap=args.cap)),
-            moment_dict(full),
+            moment_dict("offdiag", p, off),
+            moment_dict("diag", p, oracle.diag_trace_moment(B, p, cap=args.cap)),
+            moment_dict("full", p, full),
         ]
-        if args.shape_sum:
+        if args.shape_sum:  # compared exactly, so a mismatch below the float resolution is caught
             sv = shapes.trace_moment_via_shapes(B, p)
-            diff = sv - off.value
+            diff = sv - off
             entry = {"p": p, "value": _float(sv), "difference": _float(diff), "matches": diff == 0}
             if B.exact:
                 entry["exact"] = sv
@@ -330,18 +332,16 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
 
 
 def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> VarianceProfile:
+    _check_size(d, n)
     if family == "bounded_ratio":
         return bounded_ratio(VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n)), exact=False), 1.0)
     left, right = _FAMILIES[family]
     a = rng.uniform(0.5, 1.5, size=d) if left else (1,) * d
     b = rng.uniform(0.5, 1.5, size=n) if right else (1,) * n
-    _check_size(d, n)
     return rank_one(a, b)
 
 
 def cmd_examples(args) -> tuple[dict, bytes, int]:
-    if args.family not in _FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}")
     cfg = _bound_config(args)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -402,7 +402,7 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
     mism = 0
     for B in profiles:
         for p in range(1, args.pmax + 1):
-            if shapes.trace_moment_via_shapes(B, p) != oracle.offdiag_trace_moment(B, p).value:
+            if shapes.trace_moment_via_shapes(B, p) != oracle.offdiag_trace_moment(B, p):
                 mism += 1
     checks.append({"name": "shape_sum_vs_oracle", "pass": mism == 0, "mismatches": mism})
 
@@ -430,7 +430,7 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
             denom = math.sqrt(p) * Q.sigma_bar_p + p * Q.b_p**2
             if denom == 0:
                 continue
-            ratio = float(oracle.diag_trace_moment(B, p).value) ** (1.0 / p) / denom
+            ratio = float(oracle.diag_trace_moment(B, p)) ** (1.0 / p) / denom
             if not (0.1 <= ratio <= 10.0):
                 out_of_window += 1
     checks.append({"name": "diag_ratio_window", "pass": out_of_window == 0, "violations": out_of_window})
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.set_defaults(fn=cmd_shapes)
 
     se = subs.add_parser("examples", help="leading-term comparison over a size grid")
-    se.add_argument("--family", required=True)
+    se.add_argument("--family", choices=list(_FAMILIES), required=True)
     se.add_argument("--grid", type=_parse_grid, default=[(10, 50), (50, 10), (30, 30)],
                     help="comma list of DxN sizes, e.g. 10x50,30x30")
     se.add_argument("--seed", type=int, default=0)

@@ -13,8 +13,8 @@ expectation of each term factorizing over matrix cells by independence.
 Every moment has homogeneous degree 2p in the entries, so it is computed in
 integers over the common denominator D of the entries (the profile's
 `numerators`) and divided by D^{2p} once.  A float profile uses the exact
-value of each float64 cell (D is a power of two) and is rounded once at the
-end, so its moments are correctly rounded.
+value of each float64 cell (D is a power of two), so every moment is an
+exact Fraction for either kind of profile; only the CLI rounds, once.
 
 The off-diagonal and full moments sum over the closed paths u_1 -> v_1 ->
 u_2 -> ... -> v_p -> u_1, the off-diagonal one over those with no diagonal
@@ -34,20 +34,12 @@ diagonal moment, whose row moments are convolved one column at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .profile import ResourceLimitError, VarianceProfile, _float
+from .profile import ResourceLimitError, VarianceProfile
 
 DEFAULT_TERM_CAP = 10**7  # walk nodes (off-diagonal and full) or multiply-adds (diagonal)
-
-
-@dataclass(frozen=True)
-class ExactMoment:
-    value: Fraction | float
-    p: int
-    kind: str  # "full" | "offdiag" | "diag"
 
 
 @lru_cache(maxsize=None)
@@ -69,10 +61,9 @@ def joint_moment_table(max_n: int, max_m: int) -> dict[tuple[int, int], int]:
     return {(n, m): joint_moment(n, m) for n in range(max_n + 1) for m in range(max_m + 1)}
 
 
-def _moment(B: VarianceProfile, p: int, kind: str, total: int) -> ExactMoment:
-    """The integer sum over D^{2p}: exact, or rounded once for a float profile."""
-    value = Fraction(total, B.numerators[1] ** (2 * p))
-    return ExactMoment(value=value if B.exact else _float(value), p=p, kind=kind)
+def _moment(B: VarianceProfile, p: int, total: int) -> Fraction:
+    """The integer sum over D^{2p}."""
+    return Fraction(total, B.numerators[1] ** (2 * p))
 
 
 def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> tuple[int, int]:
@@ -174,20 +165,20 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> tuple[int
     return sum(p * t // c for c, t in enumerate(off) if c), sum(p * t // c for c, t in enumerate(full) if c)
 
 
-def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
+def offdiag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> Fraction:
     """E Tr(offdiag(X X^T))^p: the closed paths with u_k != u_{k+1} (cyclically),
     whose expectation is the product over cells of b^c mu(c): a walk with no diagonal step."""
-    return _moment(B, p, "offdiag", _path_sum(B, p, False, cap)[0])
+    return _moment(B, p, _path_sum(B, p, False, cap)[0])
 
 
-def trace_moments(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> tuple[ExactMoment, ExactMoment]:
+def trace_moments(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> tuple[Fraction, Fraction]:
     """(E Tr(offdiag(X X^T))^p, E Tr(X X^T - E X X^T)^p) from one walk with diagonal steps, whose
     expectation is the product over cells of b^e a_{plain, centered}; `cap` bounds that walk's nodes."""
     off, full = _path_sum(B, p, True, cap)
-    return _moment(B, p, "offdiag", off), _moment(B, p, "full", full)
+    return _moment(B, p, off), _moment(B, p, full)
 
 
-def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
+def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> Fraction:
     """E Tr(Diag(X X^T) - E X X^T)^p = sum_i E S_i^p, S_i = sum_j b_ij^2 (g_ij^2 - 1).
 
     Each row's moments E S^q, q <= p, are built one column at a time: adding
@@ -209,4 +200,4 @@ def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -
                 y = [x ** (2 * r) for r in range(p + 1)]
                 moments = [sum(c * moments[q - r] * y[r] for r, c in enumerate(cs)) for q, cs in enumerate(coef)]
         total += moments[p]
-    return _moment(B, p, "diag", total)
+    return _moment(B, p, total)

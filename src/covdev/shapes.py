@@ -32,9 +32,9 @@ factors span the fewest cells by one object-dtype einsum, so no product
 wraps, and the result is asserted to be a Python int.  A step over edge
 powers alone gives a star, kept on the profile by side and multiplicities,
 as each hom and W are.  A float profile runs the same integer engine on the
-exact values of its float64 cells (D is a power of two), so its W is the
-correctly rounded exact value, and is exactly invariant under row and column
-permutations.  The shape sum adds L(s) W(s) exactly and rounds once.
+exact values of its float64 cells (D is a power of two), so W and the shape
+sum sum_s L(s) W(s) are exact Fractions for either kind of profile, exactly
+invariant under row and column permutations; only the CLI rounds, once.
 
 The two per-shape ceilings, taken at sigma_* = 1, share one form,
 W(s) <= d a^{2 m1} c^{2(m2-1)} with c = sigma_C / sigma_*, and differ only in
@@ -146,21 +146,12 @@ def L_value(s: Shape) -> int:
     return math.prod(joint_moment(k, 0) for k in s.edge_mult.values())
 
 
-def W_value(s: Shape, B: VarianceProfile):
+def W_value(s: Shape, B: VarianceProfile) -> Fraction:
     """Profile weight: sum over injective maps of left labels into rows and
     right labels into columns of prod_e b^{k_e}, by Moebius inversion (see
-    the module docstring).
-
-    Exact (Fraction) when the profile is exact, else the correctly rounded
-    float of the exact value.  Zero when the shape needs more labels than the
-    profile has rows or columns.
+    the module docstring), exact and computed once per profile.  Zero when
+    the shape needs more labels than the profile has rows or columns.
     """
-    w = _weight(s, B)
-    return w if B.exact else _float(w)
-
-
-def _weight(s: Shape, B: VarianceProfile) -> Fraction:
-    """W(s) as an exact rational, for either kind of profile; once per profile."""
     if s.m2 > B.d or s.m1 > B.n:
         return Fraction(0)
     return _once(B, ("W", s), lambda B: Fraction(sum(
@@ -237,14 +228,9 @@ def _hom(B: VarianceProfile, quotient: tuple) -> int:
     return factors[-1]
 
 
-def trace_moment_via_shapes(B: VarianceProfile, p: int):
-    """sum_{s in S} L(s) W(s); equals oracle.offdiag_trace_moment.
-
-    The sum is taken exactly over the exact weights and rounded once for a
-    float profile, so it is the correctly rounded value, as the oracle's.
-    """
-    total = sum((ell * _weight(s, B) for s in enumerate_shapes(p) if (ell := L_value(s))), Fraction(0))
-    return total if B.exact else _float(total)
+def trace_moment_via_shapes(B: VarianceProfile, p: int) -> Fraction:
+    """sum_{s in S} L(s) W(s), exact; equals oracle.offdiag_trace_moment."""
+    return sum((ell * W_value(s, B) for s in enumerate_shapes(p) if (ell := L_value(s))), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -280,7 +266,7 @@ def _witness(s: Shape, B: VarianceProfile, case: str, a: float, n_side: bool) ->
     if n_side:
         ceiling = min(ceiling, B.n * a ** (2 * (s.m1 - 1)) * c ** (2 * s.m2))
     nums, den = B.numerators
-    w = _weight(s, B) / Fraction(nums.max(), den) ** (2 * s.p)
+    w = W_value(s, B) / Fraction(nums.max(), den) ** (2 * s.p)
     return CeilingWitness(applicable=True, case=case, w_value=_float(w), ceiling=ceiling)
 
 

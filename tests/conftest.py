@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from covdev import (
-    BoundConfig, BoundReport, ExactMoment, ProfileDomainError, ProfileParams, VarianceProfile, trace_moments,
+    BoundConfig, BoundReport, ProfileDomainError, ProfileParams, VarianceProfile, trace_moments,
 )
 from covdev.cli import main
 from covdev.oracle import DEFAULT_TERM_CAP
@@ -94,7 +94,7 @@ def naive_squared_params(B: VarianceProfile) -> dict:
     return out
 
 
-def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> ExactMoment:
+def full_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -> Fraction:
     """E Tr(X X^T - E X X^T)^p, the second moment `trace_moments` gives."""
     return trace_moments(B, p, cap)[1]
 

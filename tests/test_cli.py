@@ -184,6 +184,7 @@ class TestUsageErrors:
         ["params", "--family", "constant", "--d", "2", "--n", "2", "--p", "x"],
         ["bounds", "--family", "constant", "--d", "abc", "--n", "2"],
         ["bounds", "--family", "constant", "--d", "2", "--n", "2", "--no-such-option"],
+        ["examples", "--family", "mystery"],
     ])
     def test_rejected_arguments_exit_2_with_envelope(self, capsys, argv):
         status, out, err = run_cli(capsys, *argv)
@@ -467,6 +468,26 @@ class TestOracleCommand:
         assert p["shape_sums"] == [{"p": 6, "value": p["moments"][0]["value"], "difference": 0, "matches": True}]
         assert '"difference": 0,' in out
 
+    def test_shape_sum_beyond_the_float_range_matches(self, capsys, tmp_path):
+        # both sums round to inf; their exact difference is 0, not inf - inf
+        path = tmp_path / "huge.csv"
+        path.write_text("1e200,2e200\n3e200,1\n")
+        status, out, _ = run_cli(capsys, "oracle", "--profile", str(path), "--p", "2", "--shape-sum")
+        assert status == 0
+        assert payload_of(out)["shape_sums"] == [{"p": 2, "value": "inf", "difference": 0, "matches": True}]
+
+    def test_sub_ulp_shape_sum_mismatch_is_caught(self, capsys, tmp_path, monkeypatch):
+        # the shape sum and the oracle moment are compared exactly, not as rounded floats
+        true_sum = shapes.trace_moment_via_shapes
+        monkeypatch.setattr(shapes, "trace_moment_via_shapes", lambda B, p: true_sum(B, p) + Fraction(1, 2**4000))
+        path = tmp_path / "float.csv"
+        path.write_text("0.1,0.2\n0.3,0.7\n")
+        status, out, _ = run_cli(capsys, "oracle", "--profile", str(path), "--p", "2", "--shape-sum")
+        assert status == 0
+        p = payload_of(out)
+        assert p["shape_sums"][0]["value"] == p["moments"][0]["value"]  # equal once rounded
+        assert p["shape_sums"][0]["matches"] is False
+
     def test_exact_results_beyond_the_int_digit_limit(self, capsys, tmp_path):
         # the p = 4 diagonal moment of 1/10^600 has a 4,801-digit denominator
         path = tmp_path / "tiny.csv"
@@ -475,7 +496,7 @@ class TestOracleCommand:
         assert status == 0 and "Traceback" not in err
         exact = {m["kind"]: m["exact"] for m in payload_of(out)["moments"]}
         num, den = (int(Decimal(t)) for t in exact["diag"].split("/"))
-        assert Fraction(num, den) == diag_trace_moment(load_profile(path.read_bytes()), 4).value
+        assert Fraction(num, den) == diag_trace_moment(load_profile(path.read_bytes()), 4)
         path.write_text("1/1" + "0" * 5000 + "\n")  # a 5,001-digit input cell
         status, out, err = run_cli(capsys, "oracle", "--profile", str(path), "--p", "4")
         assert status == 2 and payload_of(out)["error"]["type"] == "ProfileFormatError"
@@ -559,6 +580,14 @@ class TestExamplesCommand:
     def test_unknown_family(self, capsys):
         status, out, _ = run_cli(capsys, "examples", "--family", "mystery")
         assert status == 2
+
+
+    @pytest.mark.parametrize("family", ["constant", "iid_columns", "iid_rows", "rank_one", "bounded_ratio"])
+    @pytest.mark.parametrize("grid", ["-1x5", "0x5", "5x0", "3x3,2x-4"])
+    def test_nonpositive_size_exit_2(self, capsys, family, grid):
+        status, out, err = run_cli(capsys, "examples", "--family", family, f"--grid={grid}")
+        assert status == 2 and "Traceback" not in err
+        assert payload_of(out)["error"] == {"type": "ProfileDomainError", "message": "d and n must be positive"}
 
 
 class TestVerifyCommand:

@@ -8,7 +8,9 @@ import pytest
 from covdev import (
     ResourceLimitError,
     VarianceProfile,
+    W_value,
     diag_trace_moment,
+    enumerate_shapes,
     joint_moment,
     load_profile,
     offdiag_trace_moment,
@@ -62,26 +64,25 @@ class TestJointMoment:
 
 class TestOffdiagMoment:
     def test_p1_zero(self):
-        assert offdiag_trace_moment(B2212, 1).value == 0
+        assert offdiag_trace_moment(B2212, 1) == 0
 
     def test_anchor_146(self):
         m = offdiag_trace_moment(B2212, 2)
-        assert m.value == Fraction(146)
-        assert m.kind == "offdiag" and m.p == 2
+        assert m == Fraction(146) and type(m) is Fraction
 
     def test_constant_3x2(self):
         B = rank_one([1] * 3, [1] * 2)
-        assert offdiag_trace_moment(B, 2).value == 12
+        assert offdiag_trace_moment(B, 2) == 12
 
     def test_p2_closed_form_random(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             B = rational_profile(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            assert offdiag_trace_moment(B, 2).value == naive_offdiag_p2(B)
+            assert offdiag_trace_moment(B, 2) == naive_offdiag_p2(B)
 
     def test_float_mode(self):
         Bf = VarianceProfile(((1.0, 2.0), (3.0, 4.0)), exact=False)
-        assert abs(offdiag_trace_moment(Bf, 2).value - 146.0) < 1e-9
+        assert offdiag_trace_moment(Bf, 2) == 146
 
     def test_work_cap(self):
         B = rank_one([1] * 4, [1] * 4)
@@ -91,20 +92,20 @@ class TestOffdiagMoment:
 
 class TestDiagMoment:
     def test_p1_zero(self):
-        assert diag_trace_moment(B2212, 1).value == 0
+        assert diag_trace_moment(B2212, 1) == 0
 
     def test_anchor_708(self):
-        assert diag_trace_moment(B2212, 2).value == Fraction(708)
+        assert diag_trace_moment(B2212, 2) == Fraction(708)
 
     def test_single_entry_p3(self):
         B = load_profile("1", format="csv")
-        assert diag_trace_moment(B, 3).value == 8  # E (g^2-1)^3
+        assert diag_trace_moment(B, 3) == 8  # E (g^2-1)^3
 
     def test_p2_closed_form_random(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
             B = rational_profile(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            assert diag_trace_moment(B, 2).value == naive_diag_p2(B)
+            assert diag_trace_moment(B, 2) == naive_diag_p2(B)
 
     def test_p3_closed_form_random(self):
         # third central moment: only the pure cubes survive, coefficient a_{0,3} = 8
@@ -112,12 +113,12 @@ class TestDiagMoment:
         for _ in range(20):
             B = rational_profile(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             expect = 8 * sum(x**6 for row in entries(B) for x in row)
-            assert diag_trace_moment(B, 3).value == expect
+            assert diag_trace_moment(B, 3) == expect
 
     def test_wide_row(self):
         # E (sum_j (g_j^2 - 1))^2 = 2 n; one row of 1500 columns
         B = rank_one([1], [1] * 1500)
-        assert diag_trace_moment(B, 2).value == 3000
+        assert diag_trace_moment(B, 2) == 3000
 
     def test_cap_counts_multiply_adds(self):
         # (p+1)(p+2)/2 multiply-adds per cell
@@ -150,36 +151,36 @@ class TestDiagMoment:
                         for j, c in counts.items():
                             term *= joint_moment(0, c)
                         expect += coef * term
-                assert diag_trace_moment(B, p).value == expect
+                assert diag_trace_moment(B, p) == expect
 
 
 class TestFullMoment:
     def test_p1_zero(self):
-        assert full_trace_moment(B2212, 1).value == 0
+        assert full_trace_moment(B2212, 1) == 0
 
     def test_anchor_854(self):
-        assert full_trace_moment(B2212, 2).value == Fraction(854)
+        assert full_trace_moment(B2212, 2) == Fraction(854)
 
     def test_p2_decomposition_random(self):
         rng = np.random.default_rng(25)
         for _ in range(20):
             B = rational_profile(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             assert (
-                full_trace_moment(B, 2).value
-                == offdiag_trace_moment(B, 2).value + diag_trace_moment(B, 2).value
+                full_trace_moment(B, 2)
+                == offdiag_trace_moment(B, 2) + diag_trace_moment(B, 2)
             )
 
     def test_even_p_nonnegative(self):
         rng = np.random.default_rng(26)
         for _ in range(10):
             B = rational_profile(rng, 2, 2)
-            assert full_trace_moment(B, 2).value >= 0
-            assert full_trace_moment(B, 4).value >= 0
+            assert full_trace_moment(B, 2) >= 0
+            assert full_trace_moment(B, 4) >= 0
 
     def test_1x1_matches_central_moments(self):
         B = load_profile("1", format="csv")
         for p in (1, 2, 3, 4, 5):
-            assert full_trace_moment(B, p).value == joint_moment(0, p)
+            assert full_trace_moment(B, p) == joint_moment(0, p)
 
 
 class TestMomentProperties:
@@ -191,7 +192,7 @@ class TestMomentProperties:
             Bt = scaled(B, t)
             for p in (1, 2, 3):
                 for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
-                    assert fn(Bt, p).value == t ** (2 * p) * fn(B, p).value
+                    assert fn(Bt, p) == t ** (2 * p) * fn(B, p)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(28)
@@ -205,7 +206,7 @@ class TestMomentProperties:
             )
             for p in (2, 3):
                 for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
-                    assert fn(B, p).value == fn(BP, p).value
+                    assert fn(B, p) == fn(BP, p)
 
     def test_diag_two_sided_window(self):
         from covdev import compute_schatten_params
@@ -220,7 +221,7 @@ class TestMomentProperties:
                 denom = math.sqrt(p) * Q.sigma_bar_p + p * Q.b_p**2
                 if denom == 0:
                     continue
-                ratio = float(diag_trace_moment(B, p).value) ** (1 / p) / denom
+                ratio = float(diag_trace_moment(B, p)) ** (1 / p) / denom
                 assert 0.1 <= ratio <= 10.0
 
     def test_shape_sum_equivalence(self):
@@ -228,7 +229,7 @@ class TestMomentProperties:
         for _ in range(10):
             B = rational_profile(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             for p in (1, 2, 3, 4):
-                assert trace_moment_via_shapes(B, p) == offdiag_trace_moment(B, p).value
+                assert trace_moment_via_shapes(B, p) == offdiag_trace_moment(B, p)
 
 
 # --- the walk against the direct product expansion -------------------------
@@ -315,14 +316,11 @@ class TestWalkAgainstProductExpansion:
             for p in range(1, pmax + 1):
                 off = offdiag_by_product(B, p)
                 for name, got, want in (
-                    ("offdiag", offdiag_trace_moment(B, p).value, off),
+                    ("offdiag", offdiag_trace_moment(B, p), off),
                     ("shape sum", trace_moment_via_shapes(B, p), off),
-                    ("full", full_trace_moment(B, p).value, full_by_product(B, p)),
-                ):
-                    if B.exact:
-                        assert got == want and isinstance(got, Fraction), (name, p, entries(B))
-                    else:  # the correctly rounded exact moment of the float cells
-                        assert isinstance(got, float) and got == float(want), (name, p, entries(B))
+                    ("full", full_trace_moment(B, p), full_by_product(B, p)),
+                ):  # a float profile's moment is the exact moment of its float cells
+                    assert got == want and isinstance(got, Fraction), (name, p, entries(B))
 
     @pytest.mark.parametrize("d,n,pmax", SIZES)
     def test_one_walk_offdiag_is_the_walk_without_diagonal_steps(self, d, n, pmax):
@@ -330,12 +328,8 @@ class TestWalkAgainstProductExpansion:
         for B in reference_profiles(d, n, seed=40 + 10 * d + n):
             for p in range(1, pmax + 1):
                 off, full = trace_moments(B, p)
-                want = offdiag_trace_moment(B, p)
-                assert (off.kind, off.p, full.kind, full.p) == ("offdiag", p, "full", p)
-                if B.exact:
-                    assert off.value == want.value and isinstance(off.value, Fraction), (p, entries(B))
-                else:
-                    assert off.value.hex() == want.value.hex(), (p, entries(B))
+                assert off == offdiag_trace_moment(B, p), (p, entries(B))
+                assert isinstance(off, Fraction) and isinstance(full, Fraction), (p, entries(B))
 
     def test_float_moments_bitwise_invariant_under_permutations(self):
         rng = np.random.default_rng(41)
@@ -345,21 +339,36 @@ class TestWalkAgainstProductExpansion:
             permuted = VarianceProfile(arr[rng.permutation(3)][:, rng.permutation(4)], exact=False)
             for p in (2, 3, 4):
                 for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
-                    assert fn(permuted, p).value.hex() == fn(B, p).value.hex()
+                    assert fn(permuted, p) == fn(B, p)
 
     def test_float_diag_is_rounded_exact_moment(self):
         rng = np.random.default_rng(42)
         Bf = float_profile(rng, 3, 4)
         B = VarianceProfile([[Fraction(x) for x in row] for row in entries(Bf)], exact=True)
         for p in range(1, 7):
-            assert diag_trace_moment(Bf, p).value == float(diag_trace_moment(B, p).value)
+            assert diag_trace_moment(Bf, p) == diag_trace_moment(B, p)
+
+    @pytest.mark.parametrize("d,n,pmax", SIZES)
+    def test_float_profile_equals_its_exact_twin(self, d, n, pmax):
+        # the exact profile of the same dyadic cells gives the same rationals, not merely the same floats
+        for Bf in reference_profiles(d, n, seed=40 + 10 * d + n)[1::2]:
+            nums, den = Bf.numerators
+            B = VarianceProfile([[Fraction(x, den) for x in row] for row in nums.tolist()], exact=True)
+            assert B.exact and not Bf.exact and B.as_array().tobytes() == Bf.as_array().tobytes()
+            for p in range(1, pmax + 1):
+                assert trace_moments(Bf, p) == trace_moments(B, p), p
+                assert offdiag_trace_moment(Bf, p) == offdiag_trace_moment(B, p), p
+                assert diag_trace_moment(Bf, p) == diag_trace_moment(B, p), p
+                assert trace_moment_via_shapes(Bf, p) == trace_moment_via_shapes(B, p), p
+                for s in enumerate_shapes(p):
+                    assert W_value(s, Bf) == W_value(s, B), (p, s)
 
 
 class TestWalkCap:
     def test_8x8_p4_under_default_cap(self):
         # 8^8 index tuples are over the default cap; the walk's nodes are not
         B = rank_one([1] * 8, [1] * 8)
-        assert offdiag_trace_moment(B, 4).value == trace_moment_via_shapes(B, 4)
+        assert offdiag_trace_moment(B, 4) == trace_moment_via_shapes(B, 4)
 
     def test_cap_error_is_deterministic(self):
         B = rank_one([1] * 3, [1] * 3)
@@ -369,7 +378,7 @@ class TestWalkCap:
                 full_trace_moment(B, 4, cap=100)
             messages.add(str(info.value))
         assert messages == {"direct expansion visits more than 100 walk nodes"}
-        assert full_trace_moment(B, 4, cap=10**4).value == full_by_product(B, 4)
+        assert full_trace_moment(B, 4, cap=10**4) == full_by_product(B, 4)
 
     @pytest.mark.parametrize("moment, nodes", [(offdiag_trace_moment, 3472), (full_trace_moment, 9480)])
     def test_walk_visits_one_rotation_per_path(self, moment, nodes):

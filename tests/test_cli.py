@@ -178,6 +178,40 @@ class TestParamsCommand:
         assert env["tool_version"]
 
 
+# (file name, content, error type, message, line or None): one fault of a profile file each
+PROFILE_FILE_FAULTS = [
+    ("empty_cell.csv", "1,,2\n", "ProfileFormatError", "line 1: bad cell ''", 1),
+    ("blank_first_line.csv", "\n1,2\n", "ProfileFormatError", "blank line before any data", 1),
+    ("nan.json", "[[NaN]]", "ProfileFormatError", "non-finite JSON constant 'NaN'", None),
+    ("trailing_data.json", "[[1,2]] x", "ProfileFormatError",
+     "invalid JSON: Extra data: line 1 column 9 (char 8)", 1),
+    ("missing_key.json", '{"d": 2}', "ProfileFormatError", "missing key 'n'", None),
+    ("short_row.json", '{"d": 1, "n": 2, "entries": [[1]]}', "ProfileFormatError",
+     "entries rows must all have n=2 cells", None),
+    ("no_rows.json", "[]", "ProfileDomainError", "empty matrix", None),
+    ("row_not_array.json", "[1,2]", "ProfileFormatError", "row 1 is not an array", 1),
+    ("bool_cell.json", "[[true]]", "ProfileFormatError", "row 1: unsupported cell type bool", 1),
+    ("null_cell.json", "[[null]]", "ProfileFormatError", "row 1: unsupported cell type NoneType", 1),
+    ("nested_cell.json", "[[[1]]]", "ProfileFormatError", "row 1: unsupported cell type list", 1),
+    ("scalar.json", '"str"', "ProfileFormatError", "JSON top level must be an object or an array", None),
+]
+
+
+class TestProfileFileErrors:
+    @pytest.mark.parametrize("name, text, kind, message, line", PROFILE_FILE_FAULTS,
+                             ids=[row[0] for row in PROFILE_FILE_FAULTS])
+    def test_fault_exit_2_with_envelope(self, capsys, tmp_path, name, text, kind, message, line):
+        path = tmp_path / name
+        path.write_text(text)
+        status, out, err = run_cli(capsys, "params", "--profile", str(path))
+        assert status == 2
+        want = {"type": kind, "message": message}
+        if line is not None:
+            want["line"] = line
+        assert payload_of(out)["error"] == want
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["examples", "--family", "constant", "--grid", "10"],

@@ -12,8 +12,9 @@ shape weights and sums) return Fractions for every profile; this module
 rounds each once for its report, and compares them before rounding.
 
 Subcommands: params, bounds, simulate, oracle, shapes, examples, verify,
-compare.  Profiles come from --profile FILE (CSV or JSON) or from
---family NAME --d D --n N with family parameters.
+compare.  Profiles come from --profile FILE (JSON if its first non-blank
+character is "[" or "{", else CSV, whatever its name; exact iff every cell is
+an integer or "p/q") or from --family NAME --d D --n N with family parameters.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def _parse_vector(text: str) -> list:
 
 
 def _add_profile_args(sub):
-    sub.add_argument("--profile", help="profile file (CSV, or JSON with a .json suffix)")
-    sub.add_argument("--profile-format", choices=["csv", "json"], help="override format detection")
+    sub.add_argument("--profile", help='profile file: JSON if its first non-blank character is "[" or "{", else CSV')
     sub.add_argument("--family", choices=list(_FAMILIES))
     sub.add_argument("--d", type=int, help="row count for --family")
     sub.add_argument("--n", type=int, help="column count for --family")
@@ -160,8 +160,7 @@ def _bound_config(args) -> bounds.BoundConfig:
 def _read_profile(args) -> tuple[VarianceProfile, bytes]:
     with open(args.profile, "rb") as fh:
         raw = fh.read()
-    fmt = args.profile_format or ("json" if args.profile.endswith(".json") else "csv")
-    return load_profile(raw, format=fmt), raw
+    return load_profile(raw), raw
 
 
 # the options each --family reads besides --d and --n; a rank-one family's are (a, b), None meaning ones
@@ -334,7 +333,7 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
 def _example_profile(family: str, d: int, n: int, rng: np.random.Generator) -> VarianceProfile:
     _check_size(d, n)
     if family == "bounded_ratio":
-        return bounded_ratio(VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n)), exact=False), 1.0)
+        return bounded_ratio(VarianceProfile(rng.uniform(0.5, 1.5, size=(d, n))), 1.0)
     left, right = _FAMILIES[family]
     a = rng.uniform(0.5, 1.5, size=d) if left else (1,) * d
     b = rng.uniform(0.5, 1.5, size=n) if right else (1,) * n
@@ -380,12 +379,13 @@ def _random_rational_profile(rng: np.random.Generator, d: int, n: int) -> Varian
         tuple(Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 5))) for _ in range(n))
         for _ in range(d)
     )
-    return VarianceProfile(rows, exact=True)
+    return VarianceProfile(rows)
 
 
 def cmd_verify(args) -> tuple[dict, bytes, int]:
     if args.profiles < 1 or args.pmax < 1:  # a run that checks nothing must not pass
         raise ValueError("verify needs --profiles >= 1 and --pmax >= 1")
+    _check_size(args.d, args.n)
     rng = np.random.default_rng(args.seed)
     profiles = [_random_rational_profile(rng, args.d, args.n) for _ in range(args.profiles)]
     checks = []
@@ -415,7 +415,7 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
             for s in slist:
                 if not shapes.check_opnorm_ceiling(s, B).holds:
                     fails26 += 1
-                if p % 2 == 0 and not shapes.check_schatten_ceiling(s, B, p).holds:
+                if p % 2 == 0 and not shapes.check_schatten_ceiling(s, B).holds:
                     fails28 += 1
     checks.append({"name": "opnorm_shape_ceiling", "pass": fails26 == 0, "violations": fails26})
     checks.append({"name": "schatten_shape_ceiling", "pass": fails28 == 0, "violations": fails28})

@@ -1,25 +1,28 @@
 """Variance profile matrices: validation, ingestion, and the structured families.
 
 A profile is the d x n nonnegative matrix B = (b_ij) of entrywise standard
-deviations; every other module consumes it read-only.  A float profile is a
-read-only float64 array.  An exact profile (integer and "p/q" cells only) is
-an integer numerator matrix N over the least common denominator D, int64 when
-it fits, else Python ints, plus the float view N_ij / D, correctly rounded.
-A decimal cell makes the whole matrix float.  `numerators` is the one exact
-view of the cells of either kind of profile.  A negative cell, or one with no
-finite float64 value, is a ProfileDomainError.  Parameters are computed once
-per profile (see params).  The structured families come from `rank_one(a, b)`,
-b_ij = a_i * b_j (ones on one side or both give i.i.d. columns, i.i.d. rows or
-the constant profile), and `bounded_ratio(base, K)`.
+deviations; every other module consumes it read-only.  It is exact iff every
+cell is an int or a Fraction (in a file, an integer or "p/q"; a bool is a
+float), else float: a read-only float64 array.  An exact profile is an
+integer numerator matrix N over the least common denominator D, int64 when it
+fits, else Python ints, plus the float view N_ij / D, correctly rounded.
+`numerators` is the one exact view of the cells of either kind of profile.
+A file is JSON iff its first non-blank character is "[" or "{", else CSV.
+A negative cell, or one with no finite float64 value, is a ProfileDomainError.
+Parameters are computed once per profile (see params).  The structured
+families come from `rank_one(a, b)`, b_ij = a_i * b_j (ones on one side or
+both give i.i.d. columns, i.i.d. rows or the constant profile), and
+`bounded_ratio(base, K)`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,15 +48,19 @@ class ResourceLimitError(RuntimeError):
 class VarianceProfile:
     """Immutable d x n matrix of nonnegative standard-deviation weights.
 
-    `exact` is True when every entry is a rational ingested without rounding;
-    in that mode the moment oracles and shape weights are computed in exact
-    rational arithmetic.  `VarianceProfile(rows, exact)` takes rows of cells
-    (Fractions or ints when exact, floats otherwise).  Equality compares values:
-    exact profiles are kept in lowest terms, so their (N, D) are unique.
+    `VarianceProfile(entries)` takes rows of cells or a 2-D ndarray; it is
+    exact iff every cell passes _is_exact, or the ndarray has an integer dtype.
+    Equality compares values: exact profiles are kept in lowest terms, so their
+    (N, D) are unique.
     """
 
-    def __init__(self, entries, exact: bool):
-        rows = entries if isinstance(entries, np.ndarray) else [tuple(r) for r in entries]
+    def __init__(self, entries):
+        if isinstance(entries, np.ndarray):
+            exact = np.issubdtype(entries.dtype, np.integer)
+            rows = entries.tolist() if exact else entries
+        else:
+            rows = [tuple(r) for r in entries]
+            exact = all(_is_exact(x) for row in rows for x in row)
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise ProfileFormatError(f"row {i + 1} has {len(row)} cells, expected {len(rows[0])}", line=i + 1)
@@ -140,6 +147,10 @@ class VarianceProfile:
                 lines[key] = ",".join(map(fmt, self._cells(row))) + "\n"
             out.append(lines[key])
         return "".join(out)
+
+
+def _is_exact(x) -> bool:  # the one rule for a cell: an int or a Fraction, not a bool
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _ratio(num: int, den: int):
@@ -237,6 +248,7 @@ def _load_json(text: str) -> VarianceProfile:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProfileFormatError(f"invalid JSON: {exc}", line=exc.lineno) from exc
+    ent = obj  # an array or an object: load_profile sends only text starting with "[" or "{"
     if isinstance(obj, dict):
         try:
             d, n, ent = obj["d"], obj["n"], obj["entries"]
@@ -246,10 +258,6 @@ def _load_json(text: str) -> VarianceProfile:
             raise ProfileFormatError(f"entries has {len(ent) if isinstance(ent, list) else '?'} rows, d={d}")
         if any(not isinstance(r, list) or len(r) != n for r in ent):
             raise ProfileFormatError(f"entries rows must all have n={n} cells")
-    elif isinstance(obj, list):
-        ent = obj
-    else:
-        raise ProfileFormatError("JSON top level must be an object or an array")
     if not ent:
         raise ProfileDomainError("empty matrix")
     for i, raw in enumerate(ent, start=1):
@@ -263,30 +271,25 @@ def _load_json(text: str) -> VarianceProfile:
         list(enumerate(ent, start=1)), lambda row: [c if isinstance(c, str) else repr(c) for c in row], "row")
 
 
-def load_profile(source: Union[bytes, str, IO], format: str = "csv") -> VarianceProfile:
-    """Parse a profile from CSV or JSON bytes/text.
+def load_profile(source: Union[bytes, str]) -> VarianceProfile:
+    """Parse a profile from UTF-8 bytes or text: JSON when the first non-blank
+    character is "[" or "{" (no valid CSV cell starts with either), else CSV.
 
     Integer and "p/q" cells are ingested exactly (exact=True); any decimal
     cell switches the whole matrix to float mode.  Ragged rows raise
     ProfileFormatError; negative entries and cells with no finite float64
     value raise ProfileDomainError.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if format == "csv":
-        return _load_csv(source)
-    if format == "json":
-        return _load_json(source)
-    raise ValueError(f"unknown format {format!r} (expected 'csv' or 'json')")
+    return (_load_json if re.match(r"\s*[\[{]", source) else _load_csv)(source)
 
 
 # --- structured families -------------------------------------------------
 
 
 def _as_entry_vector(vec: Sequence) -> tuple[Union[int, Entry], ...]:
-    out = tuple(x if isinstance(x, (int, Fraction)) and not isinstance(x, bool) else float(x) for x in vec)
+    out = tuple(x if _is_exact(x) else float(x) for x in vec)
     if any(x < 0 for x in out):  # NaN passes here and fails the profile's finiteness check
         raise ProfileDomainError("family vectors must be nonnegative")
     return out
@@ -297,7 +300,7 @@ def rank_one(a: Sequence, b: Sequence) -> VarianceProfile:
     int or a Fraction (int64 when the largest product fits, else Python ints),
     else the float products float(a_i) * float(b_j)."""
     a, b = _as_entry_vector(a), _as_entry_vector(b)
-    if all(isinstance(x, (int, Fraction)) for x in a + b):
+    if all(map(_is_exact, a + b)):
         (na, da), (nb, db) = _exact_parts([a]), _exact_parts([b])
         if int(na.max(initial=0)) * int(nb.max(initial=0)) >= 2**63:
             na, nb = na.astype(object), nb.astype(object)

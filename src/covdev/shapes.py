@@ -287,23 +287,19 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
     return _witness(s, B, "beta_gt_1", P.sigma_tilde_inf / P.sigma_star**2, n_side=True)
 
 
-def check_schatten_ceiling(s: Shape, B: VarianceProfile, p_schatten: int) -> CeilingWitness:
+def check_schatten_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
     """Per-shape weight ceiling behind the Schatten bound, at sigma_* = 1:
 
       W(s) <= d a^{2 m1} c^{2(m2-1)},  c = sigma_C/sigma_*,
-      a = sigma_p/(sigma_C sigma_*) if beta_p <= 1, else sigma_bar_p/sigma_*^2.
+      a = sigma_p/(sigma_C sigma_*) if beta_p <= 1, else sigma_bar_p/sigma_*^2,
 
-    Requires sum_e k_e = 2 p_schatten (the shape and the Schatten order must
-    match).  The zero profile yields a not-applicable witness.
+    at the Schatten order p = s.p: a shape of half-length p traverses 2p
+    edges.  The zero profile yields a not-applicable witness.
     """
-    if sum(s.edge_mult.values()) != 2 * p_schatten:
-        raise ValueError(
-            f"shape traverses {sum(s.edge_mult.values())} edges, expected {2 * p_schatten}"
-        )
     if B.is_zero:
         return _NOT_APPLICABLE
     P = normalized_params(B)[1]
-    Q = normalized_schatten_params(B, p_schatten)[1]
+    Q = normalized_schatten_params(B, s.p)[1]
     if Q.beta_p <= 1:
         return _witness(s, B, "beta_le_1", Q.sigma_p / P.sigma_C / P.sigma_star, n_side=False)
     return _witness(s, B, "beta_gt_1", Q.sigma_bar_p / P.sigma_star**2, n_side=False)

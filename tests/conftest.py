@@ -45,8 +45,8 @@ def scaled(B: VarianceProfile, t) -> VarianceProfile:
     if t < 0:
         raise ProfileDomainError("scale factor must be nonnegative")
     if B.exact and isinstance(t, (int, Fraction)):
-        return VarianceProfile([[x * t for x in row] for row in entries(B)], exact=True)
-    return VarianceProfile(B.as_array() * float(t), exact=False)
+        return VarianceProfile([[x * t for x in row] for row in entries(B)])
+    return VarianceProfile(B.as_array() * float(t))
 
 
 def rational_profile(rng, d, n, max_num=6, max_den=4) -> VarianceProfile:
@@ -54,13 +54,13 @@ def rational_profile(rng, d, n, max_num=6, max_den=4) -> VarianceProfile:
         tuple(Fraction(int(rng.integers(0, max_num + 1)), int(rng.integers(1, max_den + 1))) for _ in range(n))
         for _ in range(d)
     )
-    return VarianceProfile(ent, exact=True)
+    return VarianceProfile(ent)
 
 
 def float_profile(rng, d, n, zero_frac=0.15) -> VarianceProfile:
     arr = rng.uniform(0.0, 2.0, size=(d, n))
     arr[rng.uniform(size=(d, n)) < zero_frac] = 0.0
-    return VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr), exact=False)
+    return VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr))
 
 
 def naive_squared_params(B: VarianceProfile) -> dict:

@@ -70,7 +70,7 @@ def small_family_profiles():
         profs.append(rank_one([1] * d, tuple(range(1, n + 1))))
         profs.append(rank_one(tuple(range(1, d + 1)), (2,) + (1,) * (n - 1)))
     # a column-ratio-compliant exact base passes through bounded_ratio() unchanged
-    base = load_profile("1,2,1\n2,1,1", format="csv")
+    base = load_profile("1,2,1\n2,1,1")
     profs.append(bounded_ratio(base, 2.0))
     return profs
 
@@ -96,7 +96,7 @@ def test_criterion_01_oracle_shape_equivalence():
 
 def test_criterion_02_closed_form_anchors():
     t0 = time.time()
-    anchor = load_profile("1,2\n3,4", format="csv")
+    anchor = load_profile("1,2\n3,4")
     assert offdiag_trace_moment(anchor, 2) == Fraction(146)
     assert diag_trace_moment(anchor, 2) == Fraction(708)
     rng = np.random.default_rng(102)
@@ -133,7 +133,7 @@ def test_criterion_04_per_shape_ceilings():
                 assert w.holds, (d, n, p, s.left_seq, s.right_seq, w)
                 n26 += 1
                 if p in (2, 4):
-                    w2 = check_schatten_ceiling(s, B, p)
+                    w2 = check_schatten_ceiling(s, B)
                     assert w2.holds, (d, n, p, s.left_seq, s.right_seq, w2)
                     n28 += 1
     assert time.time() - t0 < 600
@@ -197,7 +197,7 @@ def test_criterion_06_algebraic_properties():
                 assert close(r2.total, t**2 * r1.total, rel=1e-12, abs_=1e-12)
                 assert r1.case_taken == r2.case_taken
             arr = B.as_array()[rng.permutation(d)][:, rng.permutation(n)]
-            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr), exact=False)
+            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr))
             for r1, r2 in zip(_all_bound_totals(B), _all_bound_totals(BP)):
                 assert close(r1.total, r2.total, rel=1e-12, abs_=1e-12)
     assert time.time() - t0 < 30
@@ -281,7 +281,7 @@ def _sandwich_profiles():
         base_rows = tuple(
             tuple(0.9 + 0.2 * ((3 * i + 5 * j) % 11) / 10.0 for j in range(n)) for i in range(d)
         )
-        base = VarianceProfile(base_rows, exact=False)
+        base = VarianceProfile(base_rows)
         out[("constant", d, n)] = rank_one([1] * d, [1] * n)
         out[("iid_columns", d, n)] = rank_one(va, [1] * n)
         out[("iid_rows", d, n)] = rank_one([1] * d, vb)
@@ -309,7 +309,7 @@ def test_criterion_09_sandwich(wishart_anchor):
 
 def test_criterion_10_monte_carlo_vs_oracle():
     t0 = time.time()
-    B = load_profile("1,2\n3,4", format="csv")
+    B = load_profile("1,2\n3,4")
     target = float(full_trace_moment(B, 2))
     assert target == 854.0
     est = estimate_deviation(B, SimConfig(seed=1010, samples=100_000, p_list=(2,)))[1]

@@ -21,7 +21,7 @@ from covdev import (
 
 from conftest import cli_payload, close, float_profile, scaled, standard_gaussian_bound
 
-ZERO = load_profile("[[0,0],[0,0]]", format="json")
+ZERO = load_profile("[[0,0],[0,0]]")
 CONST22 = rank_one([1] * 2, [1] * 2)
 
 
@@ -105,7 +105,7 @@ class TestSchattenUpperBound:
     def test_d1_branches_share_leading(self):
         # for a single row sigma_p = sigma_bar_p and sigma_C = sigma_star,
         # so the two branch leading terms coincide
-        B = load_profile("1,2,3", format="csv")
+        B = load_profile("1,2,3")
         lo = schatten_upper_bound(B, 2, force_case="beta_le_1")
         hi = schatten_upper_bound(B, 2, force_case="beta_gt_1")
         assert close(lo.leading_term, hi.leading_term)
@@ -120,7 +120,7 @@ class TestDiagonalBound:
         assert close(r.total, 4 * math.sqrt(2))
 
     def test_single_entry(self):
-        B = load_profile("1", format="csv")
+        B = load_profile("1")
         r = diagonal_bound(B, 2)
         assert close(r.total, math.sqrt(2) * 1 + 2 * 1)
 
@@ -166,7 +166,7 @@ class TestComparators:
 
     def test_free_zero_and_1x1(self):
         assert free_probability_bound(ZERO).total == 0.0
-        B = load_profile("1", format="csv")
+        B = load_profile("1")
         assert close(free_probability_bound(B).total, 1.0)  # log(nd) = 0 kills errors
 
     def test_free_constant_formula(self):
@@ -255,7 +255,7 @@ class TestAlgebraicProperties:
             d, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             B = float_profile(rng, d, n)
             arr = B.as_array()[rng.permutation(d)][:, rng.permutation(n)]
-            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr), exact=False)
+            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in arr))
             for r1, r2 in zip(all_reports(B), all_reports(BP)):
                 assert close(r1.total, r2.total)
 
@@ -287,12 +287,21 @@ class TestBoundConfig:
         with pytest.raises(ValueError, match="universal constants must be positive"):
             BoundConfig(**{field: value})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BoundConfig(log_floor="x"), "log_floor must be 'literal' or 'floored', got 'x'"),
+        (lambda: main_upper_bound(CONST22, force_case="x"), "force_case must be 'beta_le_1' or 'beta_gt_1'"),
+    ], ids=["log_floor", "force_case"])
+    def test_unknown_choice_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_c_eps_formula(self):
         cfg = BoundConfig(epsilon=0.25, C_universal=2.0)
         assert close(cfg.c_eps(), 2.0 * 1.25 / math.sqrt(math.log(1.25)))
 
     def test_log_floor_mode(self):
-        B = load_profile("1,1", format="csv")  # n^d = 1, log = 0
+        B = load_profile("1,1")  # n^d = 1, log = 0
         lit = main_upper_bound(B, BoundConfig(log_floor="literal"))
         flo = main_upper_bound(B, BoundConfig(log_floor="floored"))
         assert dict(lit.error_terms)["log"] == 0.0

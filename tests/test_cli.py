@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from covdev import bounded_ratio, diag_trace_moment, load_profile, montecarlo, oracle, shapes
+from covdev import cli
 from covdev.cli import dumps_canonical, main
 
 
@@ -55,6 +56,14 @@ class TestCanonicalJson:
     def test_non_finite_as_strings(self):
         assert json.loads(dumps_canonical({"b": math.inf}))["b"] == "inf"
 
+    @pytest.mark.parametrize("obj, text", [({}, "{}"), (float("nan"), '"nan"')])
+    def test_edge_values(self, obj, text):
+        assert dumps_canonical(obj) == text
+
+    def test_unsupported_object_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            dumps_canonical(object())
+
 
 class TestParamsCommand:
     def test_constant_sigma_c(self, capsys):
@@ -67,7 +76,7 @@ class TestParamsCommand:
     def test_zero_profile(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text("[[0,0],[0,0]]")
-        status, out, _ = run_cli(capsys, "params", "--profile", str(path), "--profile-format", "json")
+        status, out, _ = run_cli(capsys, "params", "--profile", str(path))
         assert status == 0
         p = payload_of(out)
         assert all(v == 0 for k, v in p["params"].items())
@@ -161,6 +170,7 @@ class TestParamsCommand:
          "bounded_ratio requires K >= 1"),
         (("bounded_ratio", "--d", "2", "--n", "3", "--K", "2", "--profile", "@"), "ValueError",
          "bounded_ratio needs a base profile of matching dimensions"),
+        (("constant", "--d", "2"), "ValueError", "--family requires --d and --n"),
     ])
     def test_family_input_fault_exit_2(self, capsys, profile_file, argv, kind, message):
         # "@" stands for the 2x2 base profile
@@ -193,7 +203,8 @@ PROFILE_FILE_FAULTS = [
     ("bool_cell.json", "[[true]]", "ProfileFormatError", "row 1: unsupported cell type bool", 1),
     ("null_cell.json", "[[null]]", "ProfileFormatError", "row 1: unsupported cell type NoneType", 1),
     ("nested_cell.json", "[[[1]]]", "ProfileFormatError", "row 1: unsupported cell type list", 1),
-    ("scalar.json", '"str"', "ProfileFormatError", "JSON top level must be an object or an array", None),
+    # not "[" or "{" first, so read as CSV whatever the file's name
+    ("scalar.json", '"str"', "ProfileFormatError", "line 1: bad cell '\"str\"'", 1),
 ]
 
 
@@ -211,6 +222,29 @@ class TestProfileFileErrors:
         assert payload_of(out)["error"] == want
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("csv.json", "1,2\n"),
+        ("array.csv", "[[1, 2]]"),
+        ("object", ' \n{"d": 1, "n": 2, "entries": [[1, 2]]}'),
+    ])
+    def test_format_read_from_the_content_not_the_name(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        status, out, _ = run_cli(capsys, "params", "--profile", str(path))
+        assert status == 0
+        assert payload_of(out)["profile"] == {"d": 1, "n": 2, "exact": True}
+
+    @pytest.mark.parametrize("name, data, message, line", [
+        ("bracket.csv", b"[1,2\n", "invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 5)", 2),
+        ("bom.json", b"\xef\xbb\xbf[[1]]", "line 1: bad cell '\\ufeff[[1]]'", 1),
+    ])
+    def test_other_parsers_error_for_a_misleading_first_character(self, capsys, tmp_path, name, data, message, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        status, out, err = run_cli(capsys, "params", "--profile", str(path))
+        assert status == 2 and "Traceback" not in err
+        assert payload_of(out)["error"] == {"type": "ProfileFormatError", "message": message, "line": line}
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -219,6 +253,7 @@ class TestUsageErrors:
         ["bounds", "--family", "constant", "--d", "abc", "--n", "2"],
         ["bounds", "--family", "constant", "--d", "2", "--n", "2", "--no-such-option"],
         ["examples", "--family", "mystery"],
+        ["params", "--profile", "B.json", "--profile-format", "json"],
     ])
     def test_rejected_arguments_exit_2_with_envelope(self, capsys, argv):
         status, out, err = run_cli(capsys, *argv)
@@ -370,6 +405,15 @@ class TestSimulateCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "target,mean,stderr,samples,seed"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("option, message", [
+        (("--samples", "1"), "samples must be >= 2 for a standard error"),
+        (("--seed", "-1"), "seed must fit in an unsigned 64-bit integer"),
+    ])
+    def test_bad_config_exit_2(self, capsys, profile_file, option, message):
+        status, out, err = run_cli(capsys, "simulate", "--profile", profile_file, *option)
+        assert status == 2 and "Traceback" not in err
+        assert payload_of(out)["error"] == {"type": "ValueError", "message": message}
 
     def test_deterministic_payload_bytes(self, capsys, profile_file):
         _, out1, _ = run_cli(capsys, "simulate", "--profile", profile_file, "--seed", "3", "--samples", "8")
@@ -562,11 +606,11 @@ class TestShapesCommand:
 
     def test_closed_stdout_exit_2_without_traceback(self):
         # the p = 7 census is far larger than a pipe's buffer, so the write meets the closed pipe
-        proc = subprocess.Popen([sys.executable, "-m", "covdev.cli", "shapes", "--p", "7"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_process_env())
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 2
+        with subprocess.Popen([sys.executable, "-m", "covdev.cli", "shapes", "--p", "7"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_process_env()) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 2
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.startswith("covdev: ")
 
@@ -650,15 +694,34 @@ class TestVerifyCommand:
         assert checks["shape_sum_vs_oracle"]["mismatches"] > 0
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("option", [("--profiles", "-1"), ("--profiles", "0"), ("--pmax", "0")])
+    @pytest.mark.parametrize("option", [("--profiles", "-1"), ("--profiles", "0"), ("--pmax", "0"),
+                                        ("--d", "0"), ("--d", "-1"), ("--n", "0")])
     def test_nothing_to_check_exit_2(self, capsys, monkeypatch, option):
+        monkeypatch.setattr(cli, "_random_rational_profile", lambda *a: pytest.fail("verify drew a profile"))
         monkeypatch.setattr(oracle, "joint_moment_table", lambda *a: pytest.fail("verify started its checks"))
         status, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "2", *option)
         assert status == 2
-        assert payload_of(out)["error"] == {
-            "type": "ValueError", "message": "verify needs --profiles >= 1 and --pmax >= 1"
-        }
-        assert err == "covdev: verify needs --profiles >= 1 and --pmax >= 1\n"
+        if option[0] in ("--d", "--n"):
+            kind, message = "ProfileDomainError", "d and n must be positive"
+        else:
+            kind, message = "ValueError", "verify needs --profiles >= 1 and --pmax >= 1"
+        assert payload_of(out)["error"] == {"type": kind, "message": message}
+        assert err == f"covdev: {message}\n"
+
+    @pytest.mark.parametrize("module, name, factor, check", [
+        (shapes, "W_value", 10**6, "opnorm_shape_ceiling"),
+        (shapes, "W_value", 10**6, "schatten_shape_ceiling"),
+        (oracle, "diag_trace_moment", 10**40, "diag_ratio_window"),
+    ], ids=["opnorm_ceiling", "schatten_ceiling", "diag_window"])
+    def test_inflated_engine_fails_its_check_exit_1(self, capsys, monkeypatch, module, name, factor, check):
+        true_fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: factor * true_fn(*a, **k))
+        status, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "2", "--pmax", "4", "--profiles", "3")
+        assert status == 1 and "Traceback" not in err
+        p = payload_of(out)
+        checks = {c["name"]: c for c in p["checks"]}
+        assert p["all_pass"] is False
+        assert checks[check]["pass"] is False and checks[check]["violations"] > 0
 
     def test_p1_vacuous(self, capsys):
         status, out, _ = run_cli(capsys, "verify", "--pmax", "1", "--profiles", "2")

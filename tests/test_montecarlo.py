@@ -21,8 +21,8 @@ from covdev import montecarlo
 
 from conftest import cli_payload, full_trace_moment, scaled
 
-B2212 = load_profile("1,2\n3,4", format="csv")
-ZERO = load_profile("[[0,0],[0,0]]", format="json")
+B2212 = load_profile("1,2\n3,4")
+ZERO = load_profile("[[0,0],[0,0]]")
 
 
 def sample_deviation(B, rng):
@@ -57,7 +57,7 @@ class TestSampleDeviation:
         assert (M == 0).all()
 
     def test_1x1_is_gsq_minus_one(self):
-        M = sample_deviation(load_profile("1", format="csv"), sample_stream(42, 0))
+        M = sample_deviation(load_profile("1"), sample_stream(42, 0))
         g = sample_stream(42, 0).standard_normal(size=(1, 1))[0, 0]
         assert M[0, 0] == g * g - 1
 
@@ -118,7 +118,7 @@ class TestEstimates:
         assert abs(est.mean - target) <= 5 * est.stderr
 
     def test_1x1_variance_of_chisq(self):
-        B = load_profile("1", format="csv")
+        B = load_profile("1")
         est = estimate_deviation(B, SimConfig(seed=2, samples=4000, p_list=(2,)))[1]
         assert abs(est.mean - 2.0) <= 5 * est.stderr
 
@@ -153,7 +153,7 @@ def _float_profile(seed, d, n):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 2.0, size=(d, n))
     a[rng.random((d, n)) < 0.2] = 0.0
-    return VarianceProfile(a.tolist(), exact=False)
+    return VarianceProfile(a.tolist())
 
 
 # With the default chunk budget: 2x2 fits in one chunk, 20x400 takes 16
@@ -167,7 +167,7 @@ PROFILES = [
 ]
 PROFILE_IDS = ["2x2", "constant-20x40", "constant-20x400", "float-150x300", "float-60x20"]
 # A 1x1 and a 1x3 profile draw an odd count of normals a sample.
-WORKER_PROFILES = PROFILES + [(load_profile("1.5", format="csv"), 23), (load_profile("1,0,2", format="csv"), 19)]
+WORKER_PROFILES = PROFILES + [(load_profile("1.5"), 23), (load_profile("1,0,2"), 19)]
 WORKER_PROFILE_IDS = PROFILE_IDS + ["1x1", "1x3"]
 
 

@@ -23,7 +23,7 @@ from conftest import (
     entries, float_profile, full_trace_moment, naive_diag_p2, naive_offdiag_p2, rational_profile, scaled,
 )
 
-B2212 = load_profile("1,2\n3,4", format="csv")
+B2212 = load_profile("1,2\n3,4")
 
 
 def hermite_joint_moment(n, m):
@@ -81,7 +81,7 @@ class TestOffdiagMoment:
             assert offdiag_trace_moment(B, 2) == naive_offdiag_p2(B)
 
     def test_float_mode(self):
-        Bf = VarianceProfile(((1.0, 2.0), (3.0, 4.0)), exact=False)
+        Bf = VarianceProfile(((1.0, 2.0), (3.0, 4.0)))
         assert offdiag_trace_moment(Bf, 2) == 146
 
     def test_work_cap(self):
@@ -98,7 +98,7 @@ class TestDiagMoment:
         assert diag_trace_moment(B2212, 2) == Fraction(708)
 
     def test_single_entry_p3(self):
-        B = load_profile("1", format="csv")
+        B = load_profile("1")
         assert diag_trace_moment(B, 3) == 8  # E (g^2-1)^3
 
     def test_p2_closed_form_random(self):
@@ -178,12 +178,17 @@ class TestFullMoment:
             assert full_trace_moment(B, 4) >= 0
 
     def test_1x1_matches_central_moments(self):
-        B = load_profile("1", format="csv")
+        B = load_profile("1")
         for p in (1, 2, 3, 4, 5):
             assert full_trace_moment(B, p) == joint_moment(0, p)
 
 
 class TestMomentProperties:
+    @pytest.mark.parametrize("moment", [offdiag_trace_moment, diag_trace_moment])
+    def test_order_below_1_rejected(self, moment):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            moment(load_profile("1,2"), 0)
+
     def test_homogeneity(self):
         rng = np.random.default_rng(27)
         t = Fraction(5, 3)
@@ -201,9 +206,7 @@ class TestMomentProperties:
             B = rational_profile(rng, d, n)
             rp = list(rng.permutation(d))
             cp = list(rng.permutation(n))
-            BP = VarianceProfile(
-                tuple(tuple(entries(B)[i][j] for j in cp) for i in rp), exact=True
-            )
+            BP = VarianceProfile(tuple(tuple(entries(B)[i][j] for j in cp) for i in rp))
             for p in (2, 3):
                 for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
                     assert fn(B, p) == fn(BP, p)
@@ -296,13 +299,13 @@ def reference_profiles(d, n, seed):
     """An exact and a float profile without zero cells, then each with one."""
     rng = np.random.default_rng(seed)
     exact = rational_profile(rng, d, n, max_num=6)
-    exact = VarianceProfile([[x or Fraction(1, 3) for x in row] for row in entries(exact)], exact=True)
+    exact = VarianceProfile([[x or Fraction(1, 3) for x in row] for row in entries(exact)])
     floats = float_profile(rng, d, n, zero_frac=0.0)
     out = [exact, floats]
     for B in (exact, floats):
         rows = [list(row) for row in entries(B)]
         rows[int(rng.integers(d))][int(rng.integers(n))] = Fraction(0) if B.exact else 0.0
-        out.append(VarianceProfile(rows, exact=B.exact))
+        out.append(VarianceProfile(rows))
     return out
 
 
@@ -334,9 +337,9 @@ class TestWalkAgainstProductExpansion:
     def test_float_moments_bitwise_invariant_under_permutations(self):
         rng = np.random.default_rng(41)
         arr = float_profile(rng, 3, 4).as_array()
-        B = VarianceProfile(arr, exact=False)
+        B = VarianceProfile(arr)
         for _ in range(3):
-            permuted = VarianceProfile(arr[rng.permutation(3)][:, rng.permutation(4)], exact=False)
+            permuted = VarianceProfile(arr[rng.permutation(3)][:, rng.permutation(4)])
             for p in (2, 3, 4):
                 for fn in (offdiag_trace_moment, diag_trace_moment, full_trace_moment):
                     assert fn(permuted, p) == fn(B, p)
@@ -344,7 +347,7 @@ class TestWalkAgainstProductExpansion:
     def test_float_diag_is_rounded_exact_moment(self):
         rng = np.random.default_rng(42)
         Bf = float_profile(rng, 3, 4)
-        B = VarianceProfile([[Fraction(x) for x in row] for row in entries(Bf)], exact=True)
+        B = VarianceProfile([[Fraction(x) for x in row] for row in entries(Bf)])
         for p in range(1, 7):
             assert diag_trace_moment(Bf, p) == diag_trace_moment(B, p)
 
@@ -353,7 +356,7 @@ class TestWalkAgainstProductExpansion:
         # the exact profile of the same dyadic cells gives the same rationals, not merely the same floats
         for Bf in reference_profiles(d, n, seed=40 + 10 * d + n)[1::2]:
             nums, den = Bf.numerators
-            B = VarianceProfile([[Fraction(x, den) for x in row] for row in nums.tolist()], exact=True)
+            B = VarianceProfile([[Fraction(x, den) for x in row] for row in nums.tolist()])
             assert B.exact and not Bf.exact and B.as_array().tobytes() == Bf.as_array().tobytes()
             for p in range(1, pmax + 1):
                 assert trace_moments(Bf, p) == trace_moments(B, p), p

@@ -33,7 +33,7 @@ class TestComputeParams:
         assert close(P.eff_rank, 2.0)
 
     def test_zero_profile(self):
-        B = load_profile("[[0,0],[0,0]]", format="json")
+        B = load_profile("[[0,0],[0,0]]")
         P = compute_params(B)
         for f in SIGMA_FIELDS:
             assert getattr(P, f) == 0.0
@@ -71,13 +71,13 @@ class TestComputeParams:
                 assert close(P.eff_rank, float(nv["total"]) / float(nv["sigma_R2"]))
 
     def test_d1_empty_maxima(self):
-        B = load_profile("1,2,3", format="csv")
+        B = load_profile("1,2,3")
         P = compute_params(B)
         assert P.sigma_tilde_inf == 0.0 and P.sigma_inf == 0.0
         assert P.beta_inf == 0.0
 
     def test_single_nonzero_entry(self):
-        B = load_profile("0,0\n0,3", format="csv")
+        B = load_profile("0,0\n0,3")
         P = compute_params(B)
         assert P.sigma_inf == 0.0 and P.sigma_tilde_inf == 0.0
         assert P.beta_inf == 0.0  # 0/0 convention
@@ -100,7 +100,7 @@ class TestSchattenParams:
         assert close(Q.sigma_bar_p, d ** (1 / p) * math.sqrt(sum(x**4 for x in b)))
 
     def test_zero_profile(self):
-        Q = compute_schatten_params(load_profile("[[0,0],[0,0]]", format="json"), 4)
+        Q = compute_schatten_params(load_profile("[[0,0],[0,0]]"), 4)
         assert Q.sigma_p == Q.sigma_p_prime == Q.sigma_bar_p == Q.b_p == 0.0
         assert Q.beta_p == 0.0
 
@@ -135,7 +135,7 @@ class TestSchattenParams:
                 assert close(Q.b_p, float(b2p) ** (1 / (2 * p)))
 
     def test_d1_sigma_p_equals_bar(self):
-        B = load_profile("1,2,3", format="csv")
+        B = load_profile("1,2,3")
         for p in (2, 4, 6):
             Q = compute_schatten_params(B, p)
             assert close(Q.sigma_p, Q.sigma_bar_p)
@@ -194,7 +194,7 @@ class TestParameterInequalities:
             B = float_profile(rng, d, n)
             arr = B.as_array()
             perm = arr[rng.permutation(d)][:, rng.permutation(n)]
-            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in perm), exact=False)
+            BP = VarianceProfile(tuple(tuple(float(x) for x in row) for row in perm))
             P1, P2 = compute_params(B), compute_params(BP)
             for f in SIGMA_FIELDS + ("beta_inf", "eff_rank"):
                 assert close(getattr(P1, f), getattr(P2, f))
@@ -207,7 +207,7 @@ class TestParameterInequalities:
             i, j = int(rng.integers(0, d)), int(rng.integers(0, n))
             rows = [list(r) for r in entries(B)]
             rows[i][j] += float(rng.uniform(0.1, 1.0))
-            B2 = VarianceProfile(tuple(tuple(r) for r in rows), exact=False)
+            B2 = VarianceProfile(tuple(tuple(r) for r in rows))
             P1, P2 = compute_params(B), compute_params(B2)
             tol = 1 + 1e-12
             for f in SIGMA_FIELDS:
@@ -225,7 +225,7 @@ class TestParameterInequalities:
         )
     )
     def test_hypothesis_invariants(self, rows):
-        B = VarianceProfile(tuple(tuple(r) for r in rows), exact=False)
+        B = VarianceProfile(tuple(tuple(r) for r in rows))
         P = compute_params(B)
         tol = 1 + 1e-12
         assert P.sigma_tilde_inf <= P.sigma_bar_inf * tol + 1e-300

@@ -44,83 +44,83 @@ def to_json_obj(B: VarianceProfile) -> dict:
 
 class TestLoadCsv:
     def test_exact_integers(self):
-        B = load_profile("1,2\n3,4", format="csv")
+        B = load_profile("1,2\n3,4")
         assert (B.d, B.n) == (2, 2)
         assert B.exact
         assert entries(B) == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ProfileDomainError):
-            load_profile("1,-2", format="csv")
+            load_profile("1,-2")
 
     def test_ragged_rows(self):
         with pytest.raises(ProfileFormatError) as exc:
-            load_profile("1,2\n3", format="csv")
+            load_profile("1,2\n3")
         assert exc.value.line == 2
 
     def test_rational_cells(self):
-        B = load_profile("1/2,3\n0,5/4", format="csv")
+        B = load_profile("1/2,3\n0,5/4")
         assert B.exact
         assert entries(B)[0][0] == Fraction(1, 2)
         assert entries(B)[1][1] == Fraction(5, 4)
 
     def test_decimal_demotes_to_float(self):
-        B = load_profile("1,0.5\n2,3", format="csv")
+        B = load_profile("1,0.5\n2,3")
         assert not B.exact
         assert all(isinstance(x, float) for row in entries(B) for x in row)
 
     def test_empty_rejected(self):
         with pytest.raises((ProfileDomainError, ProfileFormatError)):
-            load_profile("", format="csv")
+            load_profile("")
 
     def test_garbage_cell(self):
         with pytest.raises(ProfileFormatError) as exc:
-            load_profile("1,x", format="csv")
+            load_profile("1,x")
         assert exc.value.line == 1
 
     def test_bytes_input(self):
-        B = load_profile(b"2,3\n", format="csv")
+        B = load_profile(b"2,3\n")
         assert entries(B) == ((Fraction(2), Fraction(3)),)
 
 
 class TestLoadJson:
     def test_zero_profile_admissible(self):
-        B = load_profile("[[0,0],[0,0]]", format="json")
+        B = load_profile("[[0,0],[0,0]]")
         assert (B.d, B.n) == (2, 2)
         assert B.is_zero
         assert B.exact
 
     def test_object_form(self):
-        B = load_profile('{"d":2,"n":3,"entries":[[1,2,3],["1/2",0,1]]}', format="json")
+        B = load_profile('{"d":2,"n":3,"entries":[[1,2,3],["1/2",0,1]]}')
         assert (B.d, B.n) == (2, 3)
         assert B.exact
         assert entries(B)[1][0] == Fraction(1, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ProfileFormatError):
-            load_profile('{"d":2,"n":2,"entries":[[1,2]]}', format="json")
+            load_profile('{"d":2,"n":2,"entries":[[1,2]]}')
 
     def test_float_entries(self):
-        B = load_profile("[[0.5,1.5]]", format="json")
+        B = load_profile("[[0.5,1.5]]")
         assert not B.exact
 
     def test_negative_rejected(self):
         with pytest.raises(ProfileDomainError):
-            load_profile("[[1,-1]]", format="json")
+            load_profile("[[1,-1]]")
 
 
 class TestRoundTrip:
     def test_csv_bit_exact(self):
         text = "1/2,3\n0,7/5\n"
-        B = load_profile(text, format="csv")
+        B = load_profile(text)
         assert B.to_csv() == text
-        assert load_profile(B.to_csv(), format="csv") == B
+        assert load_profile(B.to_csv()) == B
 
     def test_random_rational_round_trips(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             B = rational_profile(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            again = load_profile(B.to_csv(), format="csv")
+            again = load_profile(B.to_csv())
             assert again == B
             assert again.to_csv() == B.to_csv()
 
@@ -145,7 +145,7 @@ class TestRoundTrip:
             rank_one(a, b),
             bounded_ratio(float_profile(rng, 6, 4), 1.2),
             float_profile(rng, 20, 30),
-            load_profile("1/2,3,7/5\n1/2,3,7/5\n0,2/3,4\n", format="csv"),
+            load_profile("1/2,3,7/5\n1/2,3,7/5\n0,2/3,4\n"),
             rational_profile(rng, 7, 5, max_num=3, max_den=3),
             TestExactArithmeticSafety().big_profile(),
             shared,
@@ -163,8 +163,8 @@ class TestRoundTrip:
     def test_json_round_trip(self):
         import json
 
-        B = load_profile("1/2,3\n0,7/5", format="csv")
-        again = load_profile(json.dumps(to_json_obj(B)), format="json")
+        B = load_profile("1/2,3\n0,7/5")
+        again = load_profile(json.dumps(to_json_obj(B)))
         assert again == B
 
 
@@ -215,7 +215,7 @@ class TestRankOne:
     def test_int64_only_while_the_largest_product_fits(self, a, b, dtype):
         B = rank_one(a, b)
         assert B._matrix.dtype == dtype
-        assert B == VarianceProfile([[Fraction(x) * Fraction(y) for y in b] for x in a], exact=True)
+        assert B == VarianceProfile([[Fraction(x) * Fraction(y) for y in b] for x in a])
         assert entries(B) == tuple(tuple(Fraction(x) * Fraction(y) for y in b) for x in a)
 
     def test_int_and_fraction_cells_are_exact(self):
@@ -245,8 +245,7 @@ class TestBoundedRatio:
         rng = np.random.default_rng(3)
         for K in (1.0, 1.5, 3.0):
             base = VarianceProfile(
-                tuple(tuple(float(x) for x in row) for row in rng.uniform(0.1, 2.0, size=(4, 6))),
-                exact=False,
+                tuple(tuple(float(x) for x in row) for row in rng.uniform(0.1, 2.0, size=(4, 6)))
             )
             B = bounded_ratio(base, K)
             arr = B.as_array()
@@ -261,7 +260,7 @@ class TestBoundedRatio:
         assert B.exact
 
     def test_zero_columns_tolerated(self):
-        base = VarianceProfile(((1.0, 0.0), (1.0, 0.0)), exact=False)
+        base = VarianceProfile(((1.0, 0.0), (1.0, 0.0)))
         B = bounded_ratio(base, 1.0)
         arr = B.as_array()
         assert arr[0, 1] == 0.0
@@ -276,21 +275,42 @@ class TestBoundedRatio:
 
 class TestProfileObject:
     def test_immutable_array_view(self):
-        B = load_profile("1,2", format="csv")
+        B = load_profile("1,2")
         with pytest.raises(ValueError):
             B.as_array()[0, 0] = 5.0
 
     def test_scaled_exact(self):
-        B = load_profile("1/2,3", format="csv")
+        B = load_profile("1/2,3")
         S = scaled(B, Fraction(2))
         assert S.exact and entries(S) == ((Fraction(1), Fraction(6)),)
 
+    @pytest.mark.parametrize("entries, exact", [
+        ([[1, Fraction(1, 2)]], True),
+        ([[1, 0.5]], False),
+        ([[True, 2]], False),  # a bool counts as a float
+        (np.array([[1, 2]]), True),
+        (np.array([[2**64 - 1, 2]], dtype=np.uint64), True),
+        (np.array([[1.0, 2.0]]), False),
+        (np.array([[Fraction(1, 2), 2]], dtype=object), False),
+    ])
+    def test_exactness_follows_the_cells(self, entries, exact):
+        B = VarianceProfile(entries)
+        assert B.exact is exact
+        nums, den = B.numerators
+        assert [Fraction(int(x), den) for x in nums.flat] == [Fraction(x) for x in np.asarray(entries).flat]
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1.0, 2.0], [3.0]]], ids=["exact", "float"])
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(ProfileFormatError, match="row 2 has 1 cells, expected 2") as info:
+            VarianceProfile(rows)
+        assert info.value.line == 2
+
     def test_non_finite_rejected(self):
         with pytest.raises(ProfileDomainError):
-            VarianceProfile(((float("nan"),),), exact=False)
+            VarianceProfile(((float("nan"),),))
 
     def test_numerators(self):
-        B = load_profile("1/2,3\n0,5/4", format="csv")
+        B = load_profile("1/2,3\n0,5/4")
         nums, den = B.numerators
         assert den == 4
         assert nums.tolist() == [[2, 12], [0, 5]]
@@ -298,7 +318,7 @@ class TestProfileObject:
     def test_numerators_of_float_cells_are_exact(self):
         cells = [5e-324, -0.0, 2.0**500, 2.0**-500, 2.2250738585072014e-308 / 3, 0.1]
         rows = [cells, cells[::-1]]
-        nums, den = VarianceProfile(rows, exact=False).numerators
+        nums, den = VarianceProfile(rows).numerators
         assert not nums.flags.writeable and all(type(x) is int for x in nums.flat)
         assert [[Fraction(x, den) for x in row] for row in nums.tolist()] == [list(map(Fraction, row)) for row in rows]
 
@@ -313,7 +333,7 @@ class TestExactArithmeticSafety:
             (Fraction(2**70 + 1, self.BIG), Fraction(3, 7), Fraction(0)),
             (Fraction(5, self.BIG * 3), Fraction(2**66 + 5, 11), Fraction(1, 2)),
         )
-        return VarianceProfile(rows, exact=True)
+        return VarianceProfile(rows)
 
     def test_beyond_int64_stays_python_ints(self):
         B = self.big_profile()
@@ -333,18 +353,18 @@ class TestExactArithmeticSafety:
 
     def test_csv_round_trip_beyond_int64(self):
         B = self.big_profile()
-        again = load_profile(B.to_csv(), format="csv")
+        again = load_profile(B.to_csv())
         assert again == B and again.exact
         assert again.to_csv() == B.to_csv()
 
     def test_as_array_matches_float_of_each_cell(self):
         rng = np.random.default_rng(17)
-        profiles = [self.big_profile(), load_profile("1/3,2/7\n5,1/1000003\n", format="csv")]
+        profiles = [self.big_profile(), load_profile("1/3,2/7\n5,1/1000003\n")]
         profiles += [rational_profile(rng, 6, 8, max_num=1000, max_den=30) for _ in range(5)]
         profiles += [rational_profile(rng, 3, 4, max_num=10**6, max_den=10**5) for _ in range(5)]
         # int64 cells that float64 would round: a numerator above 2**53, a denominator above 2**53
-        profiles.append(VarianceProfile(((Fraction(2**54 + 1, 3), Fraction(1, 3)),), exact=True))
-        profiles.append(VarianceProfile(((Fraction(1, 2**53 + 1), Fraction(2**40 + 1, 2**53 + 1)),), exact=True))
+        profiles.append(VarianceProfile(((Fraction(2**54 + 1, 3), Fraction(1, 3)),)))
+        profiles.append(VarianceProfile(((Fraction(1, 2**53 + 1), Fraction(2**40 + 1, 2**53 + 1)),)))
         for B in profiles:
             want = np.array([[float(x) for x in row] for row in entries(B)])
             got = B.as_array()

@@ -90,7 +90,7 @@ def assert_power_of_two_image(B, k):
 
 
 def test_two_by_two_at_every_binade():
-    B = VarianceProfile([[1.0, 1.0], [1.0, 0.5]], exact=False)
+    B = VarianceProfile([[1.0, 1.0], [1.0, 0.5]])
     assert compute_params(B).beta_inf > 1  # the branch that underflow used to flip
     for k in range(-500, 501):
         assert_power_of_two_image(B, k)
@@ -106,7 +106,7 @@ def test_seeded_float_profiles(seed):
 
 def test_schatten_orders_below_six_keep_the_plain_root():
     # where the full-scale sum is normal, sigma_p is its root, as without the normalisation
-    B = VarianceProfile([[1.0, 1.0], [1.0, 0.5]], exact=False)
+    B = VarianceProfile([[1.0, 1.0], [1.0, 0.5]])
     rows = (B.as_array() ** 2) @ (B.as_array() ** 2).T
     for p in ORDERS:
         assert compute_schatten_params(B, p).sigma_p == float(np.sum(rows.sum(axis=1) ** (p // 2))) ** (1.0 / p)
@@ -116,8 +116,8 @@ def test_schatten_orders_below_six_keep_the_plain_root():
 def test_exact_profile_below_the_float_range(k):
     # every float cell underflows to a subnormal or to 0; the normalisation
     # comes from the exact cells, so 2^-k B normalises as B does
-    B = load_profile("1,1\n1,2\n3/2,0", format="csv")
-    tiny = load_profile(f"1/{2**k},1/{2**k}\n1/{2**k},2/{2**k}\n3/{2**(k + 1)},0", format="csv")
+    B = load_profile("1,1\n1,2\n3/2,0")
+    tiny = load_profile(f"1/{2**k},1/{2**k}\n1/{2**k},2/{2**k}\n3/{2**(k + 1)},0")
     assert tiny.as_array().max() < 2.0**-1022
     e, P = normalized_params(B)
     assert normalized_params(tiny) == (e - k, P)

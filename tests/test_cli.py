@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covdev import bounded_ratio, diag_trace_moment, load_profile, montecarlo, oracle, shapes
-from covdev import cli
+from covdev import bounded_ratio, cli, diag_trace_moment, load_profile, montecarlo, oracle, shapes
 from covdev.cli import dumps_canonical, main
 
 
@@ -226,7 +225,7 @@ class TestProfileFileErrors:
         ("csv.json", "1,2\n"),
         ("array.csv", "[[1, 2]]"),
         ("object", ' \n{"d": 1, "n": 2, "entries": [[1, 2]]}'),
-    ])
+    ], ids=["csv.json", "array.csv", "object"])
     def test_format_read_from_the_content_not_the_name(self, capsys, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -237,7 +236,7 @@ class TestProfileFileErrors:
     @pytest.mark.parametrize("name, data, message, line", [
         ("bracket.csv", b"[1,2\n", "invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 5)", 2),
         ("bom.json", b"\xef\xbb\xbf[[1]]", "line 1: bad cell '\\ufeff[[1]]'", 1),
-    ])
+    ], ids=["bracket.csv", "bom.json"])
     def test_other_parsers_error_for_a_misleading_first_character(self, capsys, tmp_path, name, data, message, line):
         path = tmp_path / name
         path.write_bytes(data)

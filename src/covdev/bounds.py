@@ -4,7 +4,10 @@ Each evaluator returns a BoundReport with the bound split into a leading term
 and labelled error terms.  Universal constants that the underlying results
 leave unspecified are taken from BoundConfig (default 1) and echoed back in
 `constants_used` by each report that reads them; the two lower bounds and
-the KL comparator read none and leave it None.  Term labels are stable
+the KL comparator read none and leave it None.  Reports of an evaluator
+that takes a Schatten order carry it as `p`.  The two-branch bounds (main
+and Schatten) evaluate both branches once, return the one params.beta_case
+picks and carry both totals as `branch_totals`.  Term labels are stable
 identifiers:
 
     "leading"        first summand(s) of the bound
@@ -16,7 +19,7 @@ identifiers:
 
 All evaluators are total on valid profiles; an all-zero profile yields a zero
 total plus a warning.  Division conventions: sigma_inf/sigma_C is 0 when
-sigma_C = 0, and the branch selectors use the beta zero conventions of the
+sigma_C = 0, and the branch rule uses the beta zero conventions of the
 params module.  Every bound is homogeneous of degree 2 in B, so each
 evaluator builds its terms from the parameters of 2^-e B (see params) and the
 report scales them by 2^(2e) once, inf on overflow.  As e is even, the
@@ -27,14 +30,10 @@ scales but rounded anew under an odd power of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .params import _ldexp, normalized_params, normalized_schatten_params
+from .params import CASE_GT, CASE_LE, CASE_NA, _ldexp, beta_case, normalized_params, normalized_schatten_params
 from .profile import VarianceProfile
-
-CASE_LE = "beta_le_1"
-CASE_GT = "beta_gt_1"
-CASE_NA = "not_applicable"
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,11 @@ class BoundReport:
     total: float
     constants_used: BoundConfig | None = None  # None: the evaluator reads no constant
     warnings: tuple[str, ...] = ()
+    p: int | None = None  # the Schatten order, for the evaluators that take one
+    branch_totals: dict | None = None  # {case: total} of both branches, for the two-branch bounds
 
 
-def _report(name, case, B, e, leading, errors, cfg=None, warnings=()) -> BoundReport:
+def _report(name, case, B, e, leading, errors, cfg=None, warnings=(), p=None) -> BoundReport:
     """The report of terms evaluated on 2^-e B, each and their total scaled by 2^(2e),
     under cfg (None if no constant was read); an all-zero B adds a warning after the others."""
     total = leading + sum(value for _, value in errors)
@@ -85,7 +86,14 @@ def _report(name, case, B, e, leading, errors, cfg=None, warnings=()) -> BoundRe
         total=_ldexp(total, 2 * e),
         constants_used=cfg,
         warnings=tuple(warnings),
+        p=p,
     )
+
+
+def _two_branch(beta: float, le: BoundReport, gt: BoundReport) -> BoundReport:
+    """The report of the branch beta selects, carrying the totals of both."""
+    reports = {CASE_LE: le, CASE_GT: gt}
+    return replace(reports[beta_case(beta)], branch_totals={case: r.total for case, r in reports.items()})
 
 
 def _log_term(x: int, cfg: BoundConfig) -> float:
@@ -107,17 +115,7 @@ def _product(*factors: float) -> float:
     return 0.0 if 0 in factors else math.prod(factors)
 
 
-def _select_case(beta: float, force_case: str | None) -> str:
-    if force_case is not None:
-        if force_case not in (CASE_LE, CASE_GT):
-            raise ValueError(f"force_case must be {CASE_LE!r} or {CASE_GT!r}")
-        return force_case
-    return CASE_LE if beta <= 1 else CASE_GT
-
-
-def main_upper_bound(
-    B: VarianceProfile, cfg: BoundConfig | None = None, *, force_case: str | None = None
-) -> BoundReport:
+def main_upper_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
     """Two-branch operator-norm upper bound driven by beta_inf.
 
     beta_inf <= 1:
@@ -129,28 +127,22 @@ def main_upper_bound(
     """
     cfg = cfg or BoundConfig()
     e, P = normalized_params(B)
-    case = _select_case(P.beta_inf, force_case)
     one_eps = 1 + cfg.epsilon
     ce = cfg.c_eps()
     L = _log_term(min(B.n, B.d), cfg)
-    if case == CASE_LE:
-        ratio = P.sigma_inf / P.sigma_C if P.sigma_C > 0 else 0.0
-        leading = one_eps * (2 * P.sigma_inf + P.sigma_C**2)
-        sqrt_log = _product(one_eps, ce, P.sigma_star, P.sigma_C + ratio, math.sqrt(L))
-    else:
-        lead_main = 2 * P.sigma_tilde_inf * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
-        leading = one_eps * (lead_main + P.sigma_C**2)
-        sqrt_log = _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_bar_inf, math.sqrt(L))
-    log_term = _product(one_eps, _square(ce), P.sigma_star**2, L)
-    return _report(
-        "main_upper_bound", case, B, e, leading,
-        [("sqrt_log", sqrt_log), ("log", log_term)], cfg,
-    )
+    ratio = P.sigma_inf / P.sigma_C if P.sigma_C > 0 else 0.0
+    lead_main = 2 * P.sigma_tilde_inf * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
+    sqrt_L = math.sqrt(L)
+    log_term = ("log", _product(one_eps, _square(ce), P.sigma_star**2, L))
+    le = _report("main_upper_bound", CASE_LE, B, e, one_eps * (2 * P.sigma_inf + P.sigma_C**2),
+                 [("sqrt_log", _product(one_eps, ce, P.sigma_star, P.sigma_C + ratio, sqrt_L)), log_term], cfg)
+    gt = _report("main_upper_bound", CASE_GT, B, e, one_eps * (lead_main + P.sigma_C**2),
+                 [("sqrt_log", _product(one_eps, ce, P.sigma_C * P.sigma_star + P.sigma_bar_inf, sqrt_L)), log_term],
+                 cfg)
+    return _two_branch(P.beta_inf, le, gt)
 
 
-def schatten_upper_bound(
-    B: VarianceProfile, p: int, cfg: BoundConfig | None = None, *, force_case: str | None = None
-) -> BoundReport:
+def schatten_upper_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -> BoundReport:
     """Two-branch Schatten-p moment bound driven by beta_p.
 
     beta_p <= 1:
@@ -165,21 +157,16 @@ def schatten_upper_bound(
     cfg = cfg or BoundConfig()
     e, P = normalized_params(B)
     _, Q = normalized_schatten_params(B, p)
-    case = _select_case(Q.beta_p, force_case)
     scale = B.d ** (1.0 / p)
-    if case == CASE_LE:
-        leading = scale * (2 * Q.sigma_p + P.sigma_C**2)
-        ratio = Q.sigma_p * P.sigma_star / P.sigma_C if P.sigma_C > 0 else 0.0
-        sqrt_p = scale * cfg.C_universal * math.sqrt(p) * (P.sigma_C * P.sigma_star + ratio)
-    else:
-        lead_main = 2 * Q.sigma_bar_p * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
-        leading = scale * (lead_main + P.sigma_C**2)
-        sqrt_p = scale * cfg.C_universal * math.sqrt(p) * (P.sigma_C * P.sigma_star + Q.sigma_bar_p)
-    tail = scale * cfg.C_prime * p * Q.b_p**2
-    return _report(
-        "schatten_upper_bound", case, B, e, leading,
-        [("sqrt_p", sqrt_p), ("schatten_tail", tail)], cfg,
-    )
+    ratio = Q.sigma_p * P.sigma_star / P.sigma_C if P.sigma_C > 0 else 0.0
+    lead_main = 2 * Q.sigma_bar_p * P.sigma_C / P.sigma_star if P.sigma_star > 0 else 0.0
+    c_sqrt_p = scale * cfg.C_universal * math.sqrt(p)
+    tail = ("schatten_tail", scale * cfg.C_prime * p * Q.b_p**2)
+    le = _report("schatten_upper_bound", CASE_LE, B, e, scale * (2 * Q.sigma_p + P.sigma_C**2),
+                 [("sqrt_p", c_sqrt_p * (P.sigma_C * P.sigma_star + ratio)), tail], cfg, p=p)
+    gt = _report("schatten_upper_bound", CASE_GT, B, e, scale * (lead_main + P.sigma_C**2),
+                 [("sqrt_p", c_sqrt_p * (P.sigma_C * P.sigma_star + Q.sigma_bar_p)), tail], cfg, p=p)
+    return _two_branch(Q.beta_p, le, gt)
 
 
 def diagonal_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -> BoundReport:
@@ -189,7 +176,7 @@ def diagonal_bound(B: VarianceProfile, p: int, cfg: BoundConfig | None = None) -
     leading = cfg.C_universal * math.sqrt(p) * Q.sigma_bar_p
     tail = cfg.C_universal * p * Q.b_p**2
     warnings = ["two-sided order estimate; both directions hold up to unspecified constants"]
-    return _report("diagonal_bound", CASE_NA, B, e, leading, [("schatten_tail", tail)], cfg, warnings)
+    return _report("diagonal_bound", CASE_NA, B, e, leading, [("schatten_tail", tail)], cfg, warnings, p)
 
 
 def chz_bound(B: VarianceProfile, cfg: BoundConfig | None = None) -> BoundReport:
@@ -233,7 +220,7 @@ def lower_bound_schatten(B: VarianceProfile, p: int) -> BoundReport:
     return _report(
         "lower_bound_schatten", CASE_NA, B, e, leading,
         [("sqrt_p", math.sqrt(p) * Q.sigma_bar_p), ("schatten_tail", p * Q.b_p**2)],
-        warnings=warnings,
+        warnings=warnings, p=p,
     )
 
 

@@ -228,31 +228,19 @@ def cmd_params(args) -> tuple[dict, bytes, int]:
     return payload, raw, 0
 
 
-def _branch_totals(fn, *fargs) -> dict:
-    return {
-        case: fn(*fargs, force_case=case).total
-        for case in (bounds.CASE_LE, bounds.CASE_GT)
-    }
-
-
 def cmd_bounds(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args)
     cfg = _bound_config(args)
-    main = bounds.main_upper_bound(B, cfg)
     reports = [
-        dict(_fields(main), branch_totals=_branch_totals(bounds.main_upper_bound, B, cfg)),
+        bounds.main_upper_bound(B, cfg),
         bounds.chz_bound(B, cfg),
         bounds.free_probability_bound(B, cfg),
         bounds.lower_bound_opnorm(B),
         bounds.kl_comparator(B),
     ]
     for p in args.p:
-        sch = bounds.schatten_upper_bound(B, p, cfg)
-        reports.append(
-            dict(_fields(sch), p=p, branch_totals=_branch_totals(bounds.schatten_upper_bound, B, p, cfg))
-        )
-        reports.append(dict(_fields(bounds.diagonal_bound(B, p, cfg)), p=p))
-        reports.append(dict(_fields(bounds.lower_bound_schatten(B, p)), p=p))
+        reports += [bounds.schatten_upper_bound(B, p, cfg), bounds.diagonal_bound(B, p, cfg),
+                    bounds.lower_bound_schatten(B, p)]
     payload = {
         "profile": {"d": B.d, "n": B.n, "exact": B.exact},
         "params": compute_params(B),
@@ -284,7 +272,7 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
         return out
 
     payload = {"profile": {"d": B.d, "n": B.n, "exact": B.exact}, "moments": [], "shape_sums": []}
-    for p in args.p or [2]:
+    for p in args.p:
         off, full = oracle.trace_moments(B, p, cap=args.cap)
         payload["moments"] += [
             moment_dict("offdiag", p, off),
@@ -295,6 +283,8 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
             sv = shapes.trace_moment_via_shapes(B, p)
             diff = sv - off
             entry = {"p": p, "value": _float(sv), "difference": _float(diff), "matches": diff == 0}
+            if diff:  # its float can round to 0
+                entry["difference_exact"] = diff
             if B.exact:
                 entry["exact"] = sv
             payload["shape_sums"].append(entry)
@@ -309,7 +299,7 @@ def cmd_shapes(args) -> tuple[dict, bytes, int]:
     if args.profile or args.family:
         B, raw = _profile_from_args(args)
     census = []
-    for p in args.p or [2]:
+    for p in args.p:
         for s in shapes.enumerate_shapes(p, cap=args.cap):
             entry = {
                 "p": p,

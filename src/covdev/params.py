@@ -89,6 +89,16 @@ def _beta(numer: float, denom: float) -> float:
     return 0.0
 
 
+CASE_LE = "beta_le_1"
+CASE_GT = "beta_gt_1"
+CASE_NA = "not_applicable"
+
+
+def beta_case(beta: float) -> str:
+    """The branch a bound or ceiling takes at its beta: CASE_LE iff beta <= 1, else CASE_GT."""
+    return CASE_LE if beta <= 1 else CASE_GT
+
+
 # degree of homogeneity in B of each parameter of degree 1 or 2
 _DEGREE = {
     "sigma_C": 1, "sigma_R": 1, "sigma_star": 1, "b_p": 1, "sigma_tilde_inf": 2, "sigma_bar_inf": 2,

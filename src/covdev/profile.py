@@ -272,7 +272,8 @@ def _load_json(text: str) -> VarianceProfile:
 
 
 def load_profile(source: Union[bytes, str]) -> VarianceProfile:
-    """Parse a profile from UTF-8 bytes or text: JSON when the first non-blank
+    """Parse a profile from UTF-8 bytes (a leading byte-order mark, as some
+    editors write, is dropped) or text: JSON when the first non-blank
     character is "[" or "{" (no valid CSV cell starts with either), else CSV.
 
     Integer and "p/q" cells are ingested exactly (exact=True); any decimal
@@ -281,7 +282,7 @@ def load_profile(source: Union[bytes, str]) -> VarianceProfile:
     value raise ProfileDomainError.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     return (_load_json if re.match(r"\s*[\[{]", source) else _load_csv)(source)
 
 

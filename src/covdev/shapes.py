@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .oracle import joint_moment
-from .params import _once, normalized_params, normalized_schatten_params
+from .params import CASE_LE, CASE_NA, _once, beta_case, normalized_params, normalized_schatten_params
 from .profile import ResourceLimitError, VarianceProfile, _float
 
 DEFAULT_SHAPE_CAP = 8
@@ -249,17 +249,19 @@ class CeilingWitness:
         return self.w_value <= self.ceiling * (1 + 1e-9) + 1e-12
 
 
-_NOT_APPLICABLE = CeilingWitness(applicable=False, case="not_applicable", w_value=0.0, ceiling=0.0)
+_NOT_APPLICABLE = CeilingWitness(applicable=False, case=CASE_NA, w_value=0.0, ceiling=0.0)
 
 
-def _witness(s: Shape, B: VarianceProfile, case: str, a: float, n_side: bool) -> CeilingWitness:
+def _witness(s: Shape, B: VarianceProfile, beta: float, a_le: float, a_gt: float, n_side: bool) -> CeilingWitness:
     """W(s) at sigma_* = 1 against d a^{2 m1} c^{2(m2-1)}, c = sigma_C / sigma_*,
-    and with n_side also against n a^{2(m1-1)} c^{2 m2}.
+    and with n_side also against n a^{2(m1-1)} c^{2 m2}; a is a_le or a_gt by beta_case(beta).
 
     W(s) / sigma_*^{2p} is divided exactly, sigma_* the exact largest cell,
     and rounded once.  a and c are ratios of the parameters of 2^-e B (see
     params), so no side depends on the profile's scale.
     """
+    case = beta_case(beta)
+    a = a_le if case == CASE_LE else a_gt
     P = normalized_params(B)[1]
     c = P.sigma_C / P.sigma_star
     ceiling = B.d * a ** (2 * s.m1) * c ** (2 * (s.m2 - 1))
@@ -282,9 +284,8 @@ def check_opnorm_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
     if B.is_zero:
         return _NOT_APPLICABLE
     P = normalized_params(B)[1]
-    if P.beta_inf <= 1:
-        return _witness(s, B, "beta_le_1", P.sigma_inf / P.sigma_C / P.sigma_star, n_side=True)
-    return _witness(s, B, "beta_gt_1", P.sigma_tilde_inf / P.sigma_star**2, n_side=True)
+    return _witness(s, B, P.beta_inf, P.sigma_inf / P.sigma_C / P.sigma_star, P.sigma_tilde_inf / P.sigma_star**2,
+                    n_side=True)
 
 
 def check_schatten_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
@@ -300,6 +301,5 @@ def check_schatten_ceiling(s: Shape, B: VarianceProfile) -> CeilingWitness:
         return _NOT_APPLICABLE
     P = normalized_params(B)[1]
     Q = normalized_schatten_params(B, s.p)[1]
-    if Q.beta_p <= 1:
-        return _witness(s, B, "beta_le_1", Q.sigma_p / P.sigma_C / P.sigma_star, n_side=False)
-    return _witness(s, B, "beta_gt_1", Q.sigma_bar_p / P.sigma_star**2, n_side=False)
+    return _witness(s, B, Q.beta_p, Q.sigma_p / P.sigma_C / P.sigma_star, Q.sigma_bar_p / P.sigma_star**2,
+                    n_side=False)

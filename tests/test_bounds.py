@@ -80,10 +80,10 @@ class TestMainUpperBound:
                 assert r.leading_term >= 0
 
     def test_forced_branch(self):
-        lo = main_upper_bound(CONST22, force_case="beta_le_1")
-        hi = main_upper_bound(CONST22, force_case="beta_gt_1")
-        assert lo.case_taken == "beta_le_1" and hi.case_taken == "beta_gt_1"
-        assert lo.total != hi.total
+        r = main_upper_bound(CONST22)
+        assert set(r.branch_totals) == {"beta_le_1", "beta_gt_1"}
+        assert r.branch_totals["beta_le_1"] != r.branch_totals["beta_gt_1"]
+        assert r.total == r.branch_totals[r.case_taken]
 
 
 class TestSchattenUpperBound:
@@ -104,11 +104,10 @@ class TestSchattenUpperBound:
 
     def test_d1_branches_share_leading(self):
         # for a single row sigma_p = sigma_bar_p and sigma_C = sigma_star,
-        # so the two branch leading terms coincide
+        # so the two branches' terms, and so their totals, coincide
         B = load_profile("1,2,3")
-        lo = schatten_upper_bound(B, 2, force_case="beta_le_1")
-        hi = schatten_upper_bound(B, 2, force_case="beta_gt_1")
-        assert close(lo.leading_term, hi.leading_term)
+        totals = schatten_upper_bound(B, 2).branch_totals
+        assert close(totals["beta_le_1"], totals["beta_gt_1"])
 
 
 class TestDiagonalBound:
@@ -271,6 +270,8 @@ class TestAlgebraicProperties:
             Q = compute_schatten_params(B, 2)
             rs = schatten_upper_bound(B, 2)
             assert (rs.case_taken == "beta_le_1") == (Q.beta_p <= 1)
+            for report in (r, rs):
+                assert report.total == report.branch_totals[report.case_taken]
 
 
 class TestBoundConfig:
@@ -289,8 +290,7 @@ class TestBoundConfig:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: BoundConfig(log_floor="x"), "log_floor must be 'literal' or 'floored', got 'x'"),
-        (lambda: main_upper_bound(CONST22, force_case="x"), "force_case must be 'beta_le_1' or 'beta_gt_1'"),
-    ], ids=["log_floor", "force_case"])
+    ], ids=["log_floor"])
     def test_unknown_choice_rejected(self, make, message):
         with pytest.raises(ValueError) as info:
             make()

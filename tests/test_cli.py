@@ -235,14 +235,26 @@ class TestProfileFileErrors:
 
     @pytest.mark.parametrize("name, data, message, line", [
         ("bracket.csv", b"[1,2\n", "invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 5)", 2),
-        ("bom.json", b"\xef\xbb\xbf[[1]]", "line 1: bad cell '\\ufeff[[1]]'", 1),
-    ], ids=["bracket.csv", "bom.json"])
+    ], ids=["bracket.csv"])
     def test_other_parsers_error_for_a_misleading_first_character(self, capsys, tmp_path, name, data, message, line):
         path = tmp_path / name
         path.write_bytes(data)
         status, out, err = run_cli(capsys, "params", "--profile", str(path))
         assert status == 2 and "Traceback" not in err
         assert payload_of(out)["error"] == {"type": "ProfileFormatError", "message": message, "line": line}
+
+
+    @pytest.mark.parametrize("name, data", [
+        ("bom.csv", b"\xef\xbb\xbf1,2\n"),
+        ("bom.json", b"\xef\xbb\xbf[[1, 2]]"),
+    ], ids=["bom.csv", "bom.json"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        status, out, _ = run_cli(capsys, "params", "--profile", str(path))
+        assert status == 0
+        assert payload_of(out)["profile"] == {"d": 1, "n": 2, "exact": True}
+        assert json.loads(out)["profile_digest"] == hashlib.sha256(data).hexdigest()  # of the bytes as read
 
 
 class TestUsageErrors:
@@ -564,6 +576,8 @@ class TestOracleCommand:
         p = payload_of(out)
         assert p["shape_sums"][0]["value"] == p["moments"][0]["value"]  # equal once rounded
         assert p["shape_sums"][0]["matches"] is False
+        assert p["shape_sums"][0]["difference"] == 0  # below the float range
+        assert Fraction(p["shape_sums"][0]["difference_exact"]) == Fraction(1, 2**4000)
 
     def test_exact_results_beyond_the_int_digit_limit(self, capsys, tmp_path):
         # the p = 4 diagonal moment of 1/10^600 has a 4,801-digit denominator
@@ -743,6 +757,29 @@ class TestCompareCommand:
         p = payload_of(out)
         assert {"estimate", "bounds", "ratios"} <= set(p)
         assert p["ratios"]["empirical_over_lower"] > 0
+
+
+    def test_main_upper_bound_as_bounds_prints_it(self, capsys, profile_file):
+        options = ("--profile", profile_file, "--const", "2.5", "--epsilon", "0.3")
+        _, out, _ = run_cli(capsys, "bounds", *options)
+        main_report = next(r for r in payload_of(out)["reports"] if r["bound_name"] == "main_upper_bound")
+        assert set(main_report["branch_totals"]) == {"beta_le_1", "beta_gt_1"}
+        _, out, _ = run_cli(capsys, "compare", *options, "--samples", "10")
+        assert payload_of(out)["bounds"]["main_upper_bound"] == main_report
+
+
+class TestEmptyOrderList:
+    @pytest.mark.parametrize("argv, key", [
+        (["params", "--family", "constant", "--d", "2", "--n", "2", "--p", ","], "schatten"),
+        (["examples", "--family", "constant", "--grid", ","], "grid"),
+        (["oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", ","], "moments"),
+        (["oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", ",", "--shape-sum"], "shape_sums"),
+        (["shapes", "--p", ","], "shapes"),
+    ], ids=["params", "examples", "oracle", "oracle_shape_sum", "shapes"])
+    def test_explicit_empty_list_computes_nothing(self, capsys, argv, key):
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 0
+        assert payload_of(out)[key] == []
 
 
 class TestDeterminism:

@@ -21,8 +21,10 @@ from covdev import (
     enumerate_shapes,
     joint_moment,
     load_profile,
+    main_upper_bound,
     offdiag_trace_moment,
     rank_one,
+    schatten_upper_bound,
     trace_moment_via_shapes,
 )
 from covdev import shapes
@@ -658,6 +660,24 @@ class TestCeilingChecks:
                     assert check_opnorm_ceiling(s, B).holds
                     if p % 2 == 0:
                         assert check_schatten_ceiling(s, B).holds
+
+    def test_ceiling_case_is_the_bound_case(self):
+        # one branch rule: on a nonzero profile each ceiling takes the branch its bound takes
+        rng = np.random.default_rng(23)
+        seen = set()
+        for k in range(40):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            B = rational_profile(rng, d, n) if k % 2 else float_profile(rng, d, n)
+            if B.is_zero:
+                continue
+            main = main_upper_bound(B).case_taken
+            for p in (2, 4):
+                s = enumerate_shapes(p)[0]
+                schatten = schatten_upper_bound(B, p).case_taken
+                assert check_opnorm_ceiling(s, B).case == main
+                assert check_schatten_ceiling(s, B).case == schatten
+                seen |= {main, schatten}
+        assert seen == {"beta_le_1", "beta_gt_1"}
 
     def test_schatten_zero_profile_trivial(self):
         s = enumerate_shapes(2)[0]

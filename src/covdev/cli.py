@@ -294,22 +294,13 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
 
 
 def cmd_shapes(args) -> tuple[dict, bytes, int]:
-    B = None
-    raw = None
-    if args.profile or args.family:
-        B, raw = _profile_from_args(args)
+    B, raw = _profile_from_args(args) if args.profile or args.family else (None, None)
     census = []
     for p in args.p:
         for s in shapes.enumerate_shapes(p, cap=args.cap):
-            entry = {
-                "p": p,
-                "left_seq": list(s.left_seq),
-                "right_seq": list(s.right_seq),
-                "m1": s.m1,
-                "m2": s.m2,
-                "multiplicities": sorted(s.edge_mult.values(), reverse=True),
-                "L": shapes.L_value(s),
-            }
+            c = s.edge_class  # m1, m2, multiplicities and L are read from the class
+            entry = {"p": p, "left_seq": list(s.left_seq), "right_seq": list(s.right_seq), "m1": c.m1, "m2": c.m2,
+                     "multiplicities": sorted(c.edge_mult.values(), reverse=True), "L": shapes.L_value(c)}
             if B is not None:
                 w = shapes.W_value(s, B)
                 entry["W"] = _float(w)
@@ -396,17 +387,16 @@ def cmd_verify(args) -> tuple[dict, bytes, int]:
                 mism += 1
     checks.append({"name": "shape_sum_vs_oracle", "pass": mism == 0, "mismatches": mism})
 
-    # per-shape ceilings
+    # per-shape ceilings, checked once per edge class and counted once per shape
     fails26 = 0
     fails28 = 0
-    shape_lists = {p: shapes.enumerate_shapes(p) for p in range(2, args.pmax + 1)}
     for B in profiles:
-        for p, slist in shape_lists.items():
-            for s in slist:
+        for p in range(2, args.pmax + 1):
+            for s, count in shapes.shape_classes(p):
                 if not shapes.check_opnorm_ceiling(s, B).holds:
-                    fails26 += 1
+                    fails26 += count
                 if p % 2 == 0 and not shapes.check_schatten_ceiling(s, B).holds:
-                    fails28 += 1
+                    fails28 += count
     checks.append({"name": "opnorm_shape_ceiling", "pass": fails26 == 0, "violations": fails26})
     checks.append({"name": "schatten_shape_ceiling", "pass": fails28 == 0, "violations": fails28})
 

@@ -24,9 +24,14 @@ labels and sigma of the right labels gives
 
 where s / (pi, sigma) merges the labels of each block (multiplicities add)
 and hom sums prod_e N^{k_e} over all maps of its blocks into rows and
-columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  The
-(pi, sigma) sum folds into a per-shape table of integer coefficients over
-distinct quotients, cached per shape.  Each hom runs a variable elimination
+columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  L, W,
+m1, m2 and both ceilings depend on a shape only through its edge_class, its
+edge multigraph up to relabelling each side (on canonical labelling see McKay
+and Piperno, J. Symbolic Comput. 2014).  So the (pi, sigma) sum folds into one
+table of integer coefficients over distinct quotients per class, W is kept per
+class, the census reads its fields from the class, and the shape sum and
+verify's ceilings run once per class of shape_classes(p).  Each hom runs a
+variable elimination
 plan cached per (quotient edges, d, n): a step sums out the block whose
 factors span the fewest cells by one object-dtype einsum, so no product
 wraps, and the result is asserted to be a Python int.  A step over edge
@@ -49,6 +54,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -57,7 +63,7 @@ from .params import CASE_LE, CASE_NA, _once, beta_case, normalized_params, norma
 from .profile import ResourceLimitError, VarianceProfile, _float
 
 DEFAULT_SHAPE_CAP = 8
-_QUOTIENTS: dict[tuple, tuple] = {}  # each distinct quotient once, shared by every shape's table
+_CLASSES: dict[tuple, Shape] = {}  # canonical form of an edge multigraph -> the first shape met with it
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,17 @@ class Shape:
                 mult[e] = mult.get(e, 0) + 1
         return mult
 
+    @property
+    @lru_cache(maxsize=None)
+    def edge_class(self) -> Shape:
+        """The first shape met with this edge multigraph up to relabelling each
+        side, cached per shape.  Canonical form: over each order of the side with
+        fewer labels, the least sorted list of the other side's vectors."""
+        cols = [[self.edge_mult.get((i, j), 0) for i in range(1, self.m2 + 1)] for j in range(1, self.m1 + 1)]
+        vecs = list(zip(*cols)) if self.m1 < self.m2 else cols  # the vectors of the side with more labels
+        form = min(sorted(tuple(map(v.__getitem__, o)) for v in vecs) for o in permutations(range(len(vecs[0]))))
+        return _CLASSES.setdefault((self.m1 < self.m2, tuple(form)), self)
+
 
 def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
     """All shapes of S at half-length p, in deterministic DFS order.
@@ -106,13 +123,23 @@ def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
     already used on its side and the next fresh one; the last u is forced
     back to u_1 = 1.  A branch is pruned as soon as more edges are traversed
     exactly once than half-steps are left, so a walk that reaches 2p has
-    every edge at least twice.  p above the cap raises ResourceLimitError.
+    every edge at least twice.  p above the cap raises ResourceLimitError (a cap below 1, ValueError).
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    return _walk(p, cap)
+
+
+@lru_cache(maxsize=None)
+def shape_classes(p: int) -> tuple[tuple[Shape, int], ...]:
+    """(edge_class, number of shapes in it) over S at half-length p, in enumeration order; cached per p.  It
+    calls _walk, not enumerate_shapes, so that a call of enumerate_shapes is always one walk."""
+    return tuple(Counter(s.edge_class for s in _walk(p, DEFAULT_SHAPE_CAP)).items())
+
+
+def _walk(p: int, cap: int) -> list[Shape]:
+    if p < 1 or cap < 1:
+        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
     if p > cap:
         raise ResourceLimitError(f"shape order {p} above cap {cap}")
-
     shapes: list[Shape] = []
     u, v = [1], []
     mult: dict[tuple[int, int], int] = {}  # traversals so far per edge (left label, right label)
@@ -149,13 +176,14 @@ def L_value(s: Shape) -> int:
 def W_value(s: Shape, B: VarianceProfile) -> Fraction:
     """Profile weight: sum over injective maps of left labels into rows and
     right labels into columns of prod_e b^{k_e}, by Moebius inversion (see
-    the module docstring), exact and computed once per profile.  Zero when
-    the shape needs more labels than the profile has rows or columns.
+    the module docstring), exact and computed once per profile and class.
+    Zero when the shape needs more labels than the profile has rows or columns.
     """
     if s.m2 > B.d or s.m1 > B.n:
         return Fraction(0)
-    return _once(B, ("W", s), lambda B: Fraction(sum(
-        coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(s)), B.numerators[1] ** (2 * s.p)))
+    c = s.edge_class
+    return _once(B, ("W", c), lambda B: Fraction(sum(
+        coef * _once(B, ("hom", q), _hom, q) for q, coef in _quotient_table(c)), B.numerators[1] ** (2 * s.p)))
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +202,7 @@ def _set_partitions(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
     """(quotient, sum of mu(pi) mu(sigma) over the label partitions giving it)
     pairs, zero coefficients dropped.  A quotient is its sorted ((left block,
-    right block), multiplicity) edges.  Depends on the shape only."""
+    right block), multiplicity) edges.  W_value builds one per edge class."""
     edges = list(s.edge_mult.items())
     rights = _set_partitions(s.m1)
     table: dict[tuple, int] = defaultdict(int)
@@ -184,7 +212,7 @@ def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
             for (i, j), k in edges:
                 merged[left[i - 1], right[j - 1]] += k
             table[tuple(sorted(merged.items()))] += mu_left * mu_right
-    return tuple((_QUOTIENTS.setdefault(q, q), coef) for q, coef in table.items() if coef)
+    return tuple((q, coef) for q, coef in table.items() if coef)
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +257,8 @@ def _hom(B: VarianceProfile, quotient: tuple) -> int:
 
 
 def trace_moment_via_shapes(B: VarianceProfile, p: int) -> Fraction:
-    """sum_{s in S} L(s) W(s), exact; equals oracle.offdiag_trace_moment."""
-    return sum((ell * W_value(s, B) for s in enumerate_shapes(p) if (ell := L_value(s))), Fraction(0))
+    """sum_{s in S} L(s) W(s), exact, summed per edge class; equals oracle.offdiag_trace_moment."""
+    return sum((n * ell * W_value(s, B) for s, n in shape_classes(p) if (ell := L_value(s))), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -721,20 +721,25 @@ class TestVerifyCommand:
         assert payload_of(out)["error"] == {"type": kind, "message": message}
         assert err == f"covdev: {message}\n"
 
-    @pytest.mark.parametrize("module, name, factor, check", [
-        (shapes, "W_value", 10**6, "opnorm_shape_ceiling"),
-        (shapes, "W_value", 10**6, "schatten_shape_ceiling"),
-        (oracle, "diag_trace_moment", 10**40, "diag_ratio_window"),
+    @pytest.mark.parametrize("module, name, check, per_profile", [
+        (shapes, "W_value", "opnorm_shape_ceiling", lambda: sum(len(shapes.enumerate_shapes(p)) for p in (2, 3, 4))),
+        (shapes, "W_value", "schatten_shape_ceiling", lambda: sum(len(shapes.enumerate_shapes(p)) for p in (2, 4))),
+        (oracle, "diag_trace_moment", "diag_ratio_window", lambda: 4),
     ], ids=["opnorm_ceiling", "schatten_ceiling", "diag_window"])
-    def test_inflated_engine_fails_its_check_exit_1(self, capsys, monkeypatch, module, name, factor, check):
+    def test_inflated_engine_fails_its_check_exit_1(self, capsys, monkeypatch, module, name, check, per_profile):
+        # inflated far past every ceiling and window, so each check fails once per nonzero profile and
+        # shape (every one at p = 2..4, the even orders for Schatten) or diagonal order (2, 4, 6, 8)
         true_fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: factor * true_fn(*a, **k))
+        monkeypatch.setattr(module, name, lambda *a, **k: 10**40 * (true_fn(*a, **k) + 1))
         status, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "2", "--pmax", "4", "--profiles", "3")
         assert status == 1 and "Traceback" not in err
         p = payload_of(out)
         checks = {c["name"]: c for c in p["checks"]}
         assert p["all_pass"] is False
-        assert checks[check]["pass"] is False and checks[check]["violations"] > 0
+        rng = np.random.default_rng(0)  # verify's default seed draws these profiles
+        nonzero = sum(not cli._random_rational_profile(rng, 2, 2).is_zero for _ in range(3))
+        assert nonzero > 0
+        assert checks[check]["pass"] is False and checks[check]["violations"] == nonzero * per_profile()
 
     def test_p1_vacuous(self, capsys):
         status, out, _ = run_cli(capsys, "verify", "--pmax", "1", "--profiles", "2")
@@ -780,6 +785,19 @@ class TestEmptyOrderList:
         status, out, _ = run_cli(capsys, *argv)
         assert status == 0
         assert payload_of(out)[key] == []
+
+
+class TestCapBelowOne:
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", "2"],
+        ["shapes", "--p", "2"],
+    ], ids=["oracle", "shapes"])
+    def test_bad_input_exit_2(self, capsys, argv, cap):
+        # a cap below 1 is an invalid option, not a resource running out
+        status, out, err = run_cli(capsys, *argv, "--cap", cap)
+        assert status == 2 and "Traceback" not in err
+        assert payload_of(out)["error"] == {"type": "ValueError", "message": f"cap must be >= 1, got {cap}"}
 
 
 class TestDeterminism:

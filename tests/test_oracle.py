@@ -89,6 +89,14 @@ class TestOffdiagMoment:
         with pytest.raises(ResourceLimitError):
             offdiag_trace_moment(B, 6, cap=10**5)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("moment", [offdiag_trace_moment, trace_moments, diag_trace_moment],
+                             ids=["offdiag", "one_walk", "diag"])
+    def test_cap_below_1_is_bad_input(self, moment, cap):
+        with pytest.raises(ValueError) as info:
+            moment(B2212, 2, cap=cap)
+        assert str(info.value) == f"cap must be >= 1, got {cap}"
+
 
 class TestDiagMoment:
     def test_p1_zero(self):

@@ -1,8 +1,10 @@
 import hashlib
 import math
 import string
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -295,6 +297,10 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_shapes(3, cap=2)
         assert len(enumerate_shapes(3, cap=3)) == 1
+        for cap in (0, -1):
+            with pytest.raises(ValueError) as info:
+                enumerate_shapes(2, cap=cap)
+            assert str(info.value) == f"cap must be >= 1, got {cap}"
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Shape((1,), (1, 2)), "left and right sequences must have equal length"),
@@ -466,7 +472,39 @@ def hom_reference(B, quotient):
     return np.einsum(subscripts + "->", *(B.numerators[0] ** k for _, k in quotient), dtype=object)
 
 
-QUOTIENTS_UP_TO_6 = sorted({q for p in range(1, 7) for s in enumerate_shapes(p) for q, _ in shapes._quotient_table(s)})
+@lru_cache(maxsize=None)
+def set_partitions(m):
+    """Every partition of labels 1..m as (block of each label, numbered from 0
+    by first appearance; its Moebius value)."""
+    blocks = [()]
+    for _ in range(m):
+        blocks = [r + (b,) for r in blocks for b in range(max(r, default=-1) + 2)]
+    return [(r, math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in Counter(r).values())) for r in blocks]
+
+
+@lru_cache(maxsize=None)
+def shape_quotient_table(s: Shape):
+    """The Moebius table of one shape over its own labels: (quotient, sum of
+    mu(pi) mu(sigma) over the partitions of its left and right labels giving
+    it), zero coefficients dropped.  A reference for the per-class tables."""
+    table = defaultdict(int)
+    for left, mu_left in set_partitions(s.m2):
+        for right, mu_right in set_partitions(s.m1):
+            merged = defaultdict(int)
+            for (i, j), k in s.edge_mult.items():
+                merged[left[i - 1], right[j - 1]] += k
+            table[tuple(sorted(merged.items()))] += mu_left * mu_right
+    return tuple((q, coef) for q, coef in table.items() if coef)
+
+
+def w_by_shape_table(s, B, homs):
+    """W(s) from the shape's own Moebius table; `homs` keeps B's hom per quotient."""
+    total = sum(coef * (homs[q] if q in homs else homs.setdefault(q, shapes._hom(B, q)))
+                for q, coef in shape_quotient_table(s))
+    return Fraction(total, B.numerators[1] ** (2 * s.p))
+
+
+QUOTIENTS_UP_TO_6 = sorted({q for p in range(1, 7) for s in enumerate_shapes(p) for q, _ in shape_quotient_table(s)})
 
 
 def _near_int64_limit(rng):
@@ -510,6 +548,69 @@ class TestHomContraction:
         after = shapes._plan.cache_info()
         assert after.misses == before.misses
         assert after.hits - before.hits == len(QUOTIENTS_UP_TO_6)
+
+
+shapes_of = lru_cache(maxsize=None)(enumerate_shapes)
+
+
+def brute_force_class(s):
+    """The least sorted edge list over every relabelling of both sides."""
+    return min(tuple(sorted(((w[i - 1], t[j - 1]), k) for (i, j), k in s.edge_mult.items()))
+               for w in permutations(range(s.m2)) for t in permutations(range(s.m1)))
+
+
+def relabelled(s, left, right):
+    """The path of s with left label i renamed left[i - 1] and right label j renamed right[j - 1]."""
+    return Shape(tuple(left[i - 1] for i in s.left_seq), tuple(right[j - 1] for j in s.right_seq))
+
+
+class TestEdgeClass:
+    @pytest.mark.parametrize("p, count", [(2, 1), (3, 1), (4, 5), (5, 5), (6, 24), (7, 38)])
+    def test_class_counts(self, p, count):
+        first, sizes = {}, Counter()
+        for s in shapes_of(p):
+            first.setdefault(s.edge_class, s)
+            sizes[s.edge_class] += 1
+        assert len(first) == count
+        assert shapes.shape_classes(p) == tuple((c, sizes[c]) for c in first)
+        assert all(c.edge_class is c for c in first)
+
+    def test_classes_are_the_isomorphism_classes_up_to_p6(self):
+        for p in range(2, 7):
+            by_class = {}
+            for s in shapes_of(p):
+                by_class.setdefault(s.edge_class, set()).add(brute_force_class(s))
+            assert all(len(forms) == 1 for forms in by_class.values()), p
+            assert len(set.union(*by_class.values())) == len(by_class), p
+
+    def test_rotations_and_reversal_keep_the_class(self):
+        for p in range(2, 7):
+            for s in shapes_of(p):
+                u, v = s.left_seq, s.right_seq
+                for k in range(p):
+                    assert shape_of(u[k:] + u[:k], v[k:] + v[:k]).edge_class is s.edge_class
+                assert shape_of(u[:1] + u[:0:-1], v[::-1]).edge_class is s.edge_class
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.data())
+    def test_invariant_under_relabelling_both_sides(self, p, data):
+        s = data.draw(st.sampled_from(shapes_of(p)))
+        left = data.draw(st.permutations(range(1, s.m2 + 1)))
+        right = data.draw(st.permutations(range(1, s.m1 + 1)))
+        t = relabelled(s, left, right)
+        assert t.edge_class is s.edge_class
+        assert (t.m1, t.m2, L_value(t)) == (s.m1, s.m2, L_value(s))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: VarianceProfile(THIN),
+        _zero_row_and_column,
+        lambda rng: float_profile(rng, 4, 3),
+    ], ids=["3x1", "zero-row-and-column", "4x3-float"])
+    def test_class_weight_equals_shape_weight_up_to_p7(self, make):
+        B, homs = make(np.random.default_rng(16)), {}
+        for p in range(1, 8):
+            for s in shapes_of(p):
+                assert W_value(s, B) == w_by_shape_table(s, B, homs), s
 
 
 class TestWFloat:

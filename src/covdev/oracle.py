@@ -79,7 +79,7 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> tuple[int
     onto (walked path, any of p shifts), periodic paths included, so each c
     class sums to p T_c / c, an integer."""
     if p < 1 or cap < 1:
-        raise ValueError("p must be >= 1" if p < 1 else f"cap must be >= 1, got {cap}")
+        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
     n = B.n
     N = B.numerators[0].ravel().tolist()  # cell a = (a // n, a % n)
     plain, cent = [0] * len(N), [0] * len(N)
@@ -187,7 +187,7 @@ def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -
     which is (p+1)(p+2)/2 multiply-adds per cell.
     """
     if p < 1 or cap < 1:
-        raise ValueError("p must be >= 1" if p < 1 else f"cap must be >= 1, got {cap}")
+        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
     terms = B.d * B.n * (p + 1) * (p + 2) // 2
     if terms > cap:
         raise ResourceLimitError(f"diagonal expansion needs {terms} multiply-adds, cap is {cap}")

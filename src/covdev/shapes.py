@@ -26,20 +26,19 @@ where s / (pi, sigma) merges the labels of each block (multiplicities add)
 and hom sums prod_e N^{k_e} over all maps of its blocks into rows and
 columns (L. Lovasz, Large Networks and Graph Limits, AMS 2012, ch. 5).  L, W,
 m1, m2 and both ceilings depend on a shape only through its edge_class, its
-edge multigraph up to relabelling each side (on canonical labelling see McKay
-and Piperno, J. Symbolic Comput. 2014).  So the (pi, sigma) sum folds into one
-table of integer coefficients over distinct quotients per class, W is kept per
-class, the census reads its fields from the class, and the shape sum and
+edge multigraph up to relabelling each side, and hom on a quotient only
+through the same.  _canonical is that one form (on canonical labelling see
+McKay and Piperno, J. Symbolic Comput. 2014), for classes and quotients alike.
+So W is kept per class from one table of integer coefficients over quotient
+classes, the census reads its fields from the class, and the shape sum and
 verify's ceilings run once per class of shape_classes(p).  Each hom runs a
-variable elimination
-plan cached per (quotient edges, d, n): a step sums out the block whose
-factors span the fewest cells by one object-dtype einsum, so no product
-wraps, and the result is asserted to be a Python int.  A step over edge
-powers alone gives a star, kept on the profile by side and multiplicities,
-as each hom and W are.  A float profile runs the same integer engine on the
-exact values of its float64 cells (D is a power of two), so W and the shape
-sum sum_s L(s) W(s) are exact Fractions for either kind of profile, exactly
-invariant under row and column permutations; only the CLI rounds, once.
+variable elimination plan cached per (quotient edges, d, n): a step sums out
+the block whose factors span the fewest cells by one object-dtype einsum, so
+no product wraps, and the result is asserted to be a Python int.  Each hom
+and W is kept on the profile.  A float profile runs the same integer engine
+on the exact values of its float64 cells (D is a power of two), so W and the
+shape sum sum_s L(s) W(s) are exact Fractions for either kind of profile,
+exactly invariant under row and column permutations; only the CLI rounds, once.
 
 The two per-shape ceilings, taken at sigma_* = 1, share one form,
 W(s) <= d a^{2 m1} c^{2(m2-1)} with c = sigma_C / sigma_*, and differ only in
@@ -106,13 +105,21 @@ class Shape:
     @property
     @lru_cache(maxsize=None)
     def edge_class(self) -> Shape:
-        """The first shape met with this edge multigraph up to relabelling each
-        side, cached per shape.  Canonical form: over each order of the side with
-        fewer labels, the least sorted list of the other side's vectors."""
-        cols = [[self.edge_mult.get((i, j), 0) for i in range(1, self.m2 + 1)] for j in range(1, self.m1 + 1)]
-        vecs = list(zip(*cols)) if self.m1 < self.m2 else cols  # the vectors of the side with more labels
-        form = min(sorted(tuple(map(v.__getitem__, o)) for v in vecs) for o in permutations(range(len(vecs[0]))))
-        return _CLASSES.setdefault((self.m1 < self.m2, tuple(form)), self)
+        """The first shape met with the same _canonical edge multigraph; cached per shape."""
+        return _CLASSES.setdefault(_canonical(tuple(sorted(self.edge_mult.items()))), self)
+
+
+@lru_cache(maxsize=None)
+def _canonical(edges: tuple) -> tuple:
+    """Sorted ((left, right), multiplicity) edges relabelled from 0 on each side
+    by the least, over each order of the side with fewer labels, sorted list of
+    the other side's vectors of multiplicities: equal iff the multigraphs are."""
+    mult, lefts, rights = dict(edges), sorted({a for (a, _), _ in edges}), sorted({b for (_, b), _ in edges})
+    flip = len(rights) < len(lefts)  # then the rights are ordered and the lefts' vectors sorted
+    small, big = (rights, lefts) if flip else (lefts, rights)
+    vecs = [[mult.get((b, a) if flip else (a, b), 0) for a in small] for b in big]
+    form = min(sorted(tuple(map(v.__getitem__, o)) for v in vecs) for o in permutations(range(len(small))))
+    return tuple(sorted((((j, i) if flip else (i, j)), k) for j, v in enumerate(form) for i, k in enumerate(v) if k))
 
 
 def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
@@ -200,9 +207,8 @@ def _set_partitions(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 @lru_cache(maxsize=None)
 def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
-    """(quotient, sum of mu(pi) mu(sigma) over the label partitions giving it)
-    pairs, zero coefficients dropped.  A quotient is its sorted ((left block,
-    right block), multiplicity) edges.  W_value builds one per edge class."""
+    """(_canonical quotient, sum of mu(pi) mu(sigma) over the label partitions
+    giving one of its class) pairs, zero sums dropped; one per edge class."""
     edges = list(s.edge_mult.items())
     rights = _set_partitions(s.m1)
     table: dict[tuple, int] = defaultdict(int)
@@ -211,7 +217,7 @@ def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
             merged: dict[tuple[int, int], int] = defaultdict(int)
             for (i, j), k in edges:
                 merged[left[i - 1], right[j - 1]] += k
-            table[tuple(sorted(merged.items()))] += mu_left * mu_right
+            table[_canonical(tuple(sorted(merged.items())))] += mu_left * mu_right
     return tuple((q, coef) for q, coef in table.items() if coef)
 
 
@@ -219,10 +225,9 @@ def _quotient_table(s: Shape) -> tuple[tuple[tuple, int], ...]:
 def _plan(edges: tuple[tuple[int, int], ...], d: int, n: int) -> tuple[tuple, ...]:
     """Variable elimination steps for hom over a quotient with these (left
     block, right block) edges on a d x n profile.  Factors are the edges, then
-    each step's result.  A step sums out the block whose factors span the
-    fewest cells: (its factors, their einsum subscripts, the block's side if
-    they are all edges, else None).  A quotient of a closed path is connected,
-    so only the last step sums out every block left and gives hom."""
+    each step's result.  A step sums out the block whose factors span the fewest
+    cells: (its factors, their einsum subscripts).  A quotient of a closed path
+    is connected, so only the last step sums out every block left: hom."""
     scopes, steps = [((0, a), (1, b)) for a, b in edges], []
 
     def span(v):
@@ -235,23 +240,18 @@ def _plan(edges: tuple[tuple[int, int], ...], d: int, n: int) -> tuple[tuple, ..
         letter = dict(zip(union, string.ascii_letters))
         out = tuple(u for u in union if u != v)
         terms = ",".join("".join(letter[u] for u in scopes[i]) for i in inputs)
-        side = v[0] if max(inputs) < len(edges) else None
-        steps.append((inputs, terms + "->" + "".join(letter[u] for u in out), side))
+        steps.append((inputs, terms + "->" + "".join(letter[u] for u in out)))
         scopes = [() if i in inputs else scope for i, scope in enumerate(scopes)] + [out]
     return tuple(steps)
 
 
 def _hom(B: VarianceProfile, quotient: tuple) -> int:
     """sum over all maps of left blocks into rows and right blocks into
-    columns of prod_e N^{k_e}, along the plan for the quotient's edges.  A step
-    over edges alone, a star, is kept on the profile by side and multiplicities."""
+    columns of prod_e N^{k_e}, along the plan for the quotient's edges."""
     edges, ks = zip(*quotient)
     factors = [_once(B, ("power", k), lambda B, k: B.numerators[0] ** k, k) for k in ks]
-    for inputs, subscripts, side in _plan(edges, B.d, B.n):
-        operands = [factors[i] for i in inputs]
-        contract = lambda B: np.einsum(subscripts, *operands, dtype=object)  # noqa: E731
-        star = side is not None and ("star", side, tuple(ks[i] for i in inputs))
-        factors.append(_once(B, star, contract) if star else contract(B))
+    for inputs, subscripts in _plan(edges, B.d, B.n):
+        factors.append(np.einsum(subscripts, *(factors[i] for i in inputs), dtype=object))
     assert type(factors[-1]) is int, type(factors[-1])
     return factors[-1]
 

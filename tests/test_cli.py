@@ -800,6 +800,20 @@ class TestCapBelowOne:
         assert payload_of(out)["error"] == {"type": "ValueError", "message": f"cap must be >= 1, got {cap}"}
 
 
+class TestOrderBelowOne:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", "0"],
+        ["shapes", "--p", "0"],
+    ], ids=["oracle", "shapes"])
+    def test_bad_input_exit_2(self, capsys, argv):
+        # every engine that refuses an order names it
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and "Traceback" not in err
+        env = json.loads(out)
+        assert (env["command"], env["profile_digest"]) == (argv[0], None)
+        assert env["payload"] == {"error": {"type": "ValueError", "message": "p must be >= 1, got 0"}}
+
+
 class TestDeterminism:
     def test_bounds_byte_identical(self, capsys, profile_file):
         _, out1, _ = run_cli(capsys, "bounds", "--profile", profile_file, "--p", "2,4")

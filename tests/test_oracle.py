@@ -194,7 +194,7 @@ class TestFullMoment:
 class TestMomentProperties:
     @pytest.mark.parametrize("moment", [offdiag_trace_moment, diag_trace_moment])
     def test_order_below_1_rejected(self, moment):
-        with pytest.raises(ValueError, match="p must be >= 1"):
+        with pytest.raises(ValueError, match=r"^p must be >= 1, got 0$"):
             moment(load_profile("1,2"), 0)
 
     def test_homogeneity(self):

@@ -553,10 +553,11 @@ class TestHomContraction:
 shapes_of = lru_cache(maxsize=None)(enumerate_shapes)
 
 
-def brute_force_class(s):
-    """The least sorted edge list over every relabelling of both sides."""
-    return min(tuple(sorted(((w[i - 1], t[j - 1]), k) for (i, j), k in s.edge_mult.items()))
-               for w in permutations(range(s.m2)) for t in permutations(range(s.m1)))
+def brute_force_class(edges):
+    """The least sorted list of ((left, right), k) edges over every relabelling of both sides."""
+    lefts, rights = sorted({a for (a, _), _ in edges}), sorted({b for (_, b), _ in edges})
+    return min(tuple(sorted(((w[lefts.index(a)], t[rights.index(b)]), k) for (a, b), k in edges))
+               for w in permutations(range(len(lefts))) for t in permutations(range(len(rights))))
 
 
 def relabelled(s, left, right):
@@ -579,9 +580,25 @@ class TestEdgeClass:
         for p in range(2, 7):
             by_class = {}
             for s in shapes_of(p):
-                by_class.setdefault(s.edge_class, set()).add(brute_force_class(s))
+                by_class.setdefault(s.edge_class, set()).add(brute_force_class(tuple(s.edge_mult.items())))
             assert all(len(forms) == 1 for forms in by_class.values()), p
             assert len(set.union(*by_class.values())) == len(by_class), p
+
+    def test_canonical_is_the_brute_force_class(self):
+        # every shape up to p = 6 and every quotient of them: one form iff one brute-force class
+        graphs = [tuple(sorted(s.edge_mult.items())) for p in range(2, 7) for s in shapes_of(p)] + QUOTIENTS_UP_TO_6
+        assert len(QUOTIENTS_UP_TO_6) == 291
+        by_form = {}
+        for g in graphs:
+            form = shapes._canonical(g)
+            assert brute_force_class(form) == brute_force_class(g), g  # a relabelling of g, so hom is kept
+            by_form.setdefault(form, set()).add(brute_force_class(g))
+        assert all(len(classes) == 1 for classes in by_form.values())
+        assert len(set.union(*by_form.values())) == len(by_form)
+
+    @pytest.mark.parametrize("p, count", [(2, 2), (3, 3), (4, 9), (5, 17), (6, 57), (7, 136)])
+    def test_distinct_quotients_over_the_class_tables(self, p, count):
+        assert len({q for c, _ in shapes.shape_classes(p) for q, _ in shapes._quotient_table(c)}) == count
 
     def test_rotations_and_reversal_keep_the_class(self):
         for p in range(2, 7):

@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .params import CASE_GT, CASE_LE, CASE_NA, _ldexp, beta_case, normalized_params, normalized_schatten_params
-from .profile import VarianceProfile
+from .params import CASE_GT, CASE_LE, CASE_NA, beta_case, normalized_params, normalized_schatten_params
+from .profile import VarianceProfile, _float
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ def _report(name, case, B, e, leading, errors, cfg=None, warnings=(), p=None) ->
     return BoundReport(
         bound_name=name,
         case_taken=case,
-        leading_term=_ldexp(leading, 2 * e),
-        error_terms=tuple((label, _ldexp(value, 2 * e)) for label, value in errors),
-        total=_ldexp(total, 2 * e),
+        leading_term=_float(leading, 2 * e),
+        error_terms=tuple((label, _float(value, 2 * e)) for label, value in errors),
+        total=_float(total, 2 * e),
         constants_used=cfg,
         warnings=tuple(warnings),
         p=p,

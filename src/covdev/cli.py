@@ -3,8 +3,9 @@
 Every subcommand prints one JSON report envelope on stdout; diagnostics go
 to stderr.  Exit status: 0 success, 1 verification failure, 2 input or
 resource error (including a command line the parser rejects, an eigensolver
-failure, running out of memory or out of recursion depth), always with a JSON
-error envelope, or a stdout closed before the envelope is written.
+failure, running out of memory or out of recursion depth, or a size or order
+past the index range), always with a JSON error envelope, or a stdout closed
+before the envelope is written.
 Floats are serialized with 17 significant digits so reports round-trip and
 repeated runs with identical inputs produce byte-identical payloads (the
 envelope timestamp is the only varying field).  The exact engines (oracle,
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
             raise UsageError(f"unrecognized arguments: {' '.join(unread)}", command)
         payload, raw, status = args.fn(args)
     except (ValueError, ResourceLimitError, OSError, montecarlo.EigenConvergenceError, MemoryError,
-            RecursionError) as exc:
+            RecursionError, OverflowError) as exc:
         message = str(exc) or type(exc).__name__  # a bare MemoryError() has no message
         payload, raw, status = {"error": {"type": type(exc).__name__, "message": message}}, None, 2
         if getattr(exc, "line", None) is not None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import _check_schatten_order
 from .profile import VarianceProfile
 
 # Chunk budget, split between the threads: the bytes of the draws in flight,
@@ -47,8 +48,7 @@ class SimConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for p in self.p_list:
-            if not isinstance(p, int) or p < 2 or p % 2:
-                raise ValueError(f"p must be an even integer >= 2, got {p!r}")
+            _check_schatten_order(p)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def joint_moment_table(max_n: int, max_m: int) -> dict[tuple[int, int], int]:
     return {(n, m): joint_moment(n, m) for n in range(max_n + 1) for m in range(max_m + 1)}
 
 
+def _check_order(p: int, cap: int) -> None:
+    """The one rule for an order p and a work cap of the exact engines: both at least 1."""
+    if p < 1 or cap < 1:
+        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
+
+
 def _moment(B: VarianceProfile, p: int, total: int) -> Fraction:
     """The integer sum over D^{2p}."""
     return Fraction(total, B.numerators[1] ** (2 * p))
@@ -78,8 +84,7 @@ def _path_sum(B: VarianceProfile, p: int, diagonal: bool, cap: int) -> tuple[int
     with each shift that brings a minimal row to the front is a bijection
     onto (walked path, any of p shifts), periodic paths included, so each c
     class sums to p T_c / c, an integer."""
-    if p < 1 or cap < 1:
-        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
+    _check_order(p, cap)
     n = B.n
     N = B.numerators[0].ravel().tolist()  # cell a = (a // n, a % n)
     plain, cent = [0] * len(N), [0] * len(N)
@@ -186,8 +191,7 @@ def diag_trace_moment(B: VarianceProfile, p: int, cap: int = DEFAULT_TERM_CAP) -
     E (S + b^2 (g^2 - 1))^q = sum_r binom(q, r) E S^{q-r} b^{2r} a_{0,r},
     which is (p+1)(p+2)/2 multiply-adds per cell.
     """
-    if p < 1 or cap < 1:
-        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
+    _check_order(p, cap)
     terms = B.d * B.n * (p + 1) * (p + 2) // 2
     if terms > cap:
         raise ResourceLimitError(f"diagonal expansion needs {terms} multiply-adds, cap is {cap}")

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import VarianceProfile
+from .profile import VarianceProfile, _float
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,9 @@ _DEGREE = {
 }
 
 
-def _ldexp(x: float, k: int) -> float:
-    """x * 2^k, inf where that overflows (math.ldexp raises instead)."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.inf
-
-
 def _rescaled(e: int, P):
     """Parameters of 2^-e B turned into those of B."""
-    return replace(P, **{f: _ldexp(getattr(P, f), k * e) for f, k in _DEGREE.items() if hasattr(P, f)})
+    return replace(P, **{f: _float(getattr(P, f), k * e) for f, k in _DEGREE.items() if hasattr(P, f)})
 
 
 def _pair_sums(B: VarianceProfile) -> tuple[int, np.ndarray, np.ndarray]:
@@ -180,16 +172,21 @@ def compute_schatten_params(B: VarianceProfile, p: int) -> SchattenParams:
 
 def normalized_schatten_params(B: VarianceProfile, p: int) -> tuple[int, SchattenParams]:
     """(e, the Schatten-order-p parameters of 2^-e B); see the module docstring."""
-    if not isinstance(p, int) or p < 2 or p % 2:
-        raise ValueError(f"Schatten order must be an even integer >= 2, got {p!r}")
+    _check_schatten_order(p)
     return _once(B, ("normalized", p), _schatten_params, p)
+
+
+def _check_schatten_order(p) -> None:
+    """The one rule for a Schatten order, here and in the Monte Carlo: even and at least 2."""
+    if not isinstance(p, int) or p < 2 or p % 2:
+        raise ValueError(f"p must be an even integer >= 2, got {p!r}")
 
 
 def _root(total, r: int, p: int, e: int) -> float:
     """The r-th root, as a parameter of 2^-e B, of a degree-2p sum over 2^-e B:
     taken of the full-scale sum 2^(2pe) total where that is a normal float,
     else of the normalised sum."""
-    full = _ldexp(float(total), 2 * p * e)
+    full = _float(total, 2 * p * e)
     if sys.float_info.min <= full < math.inf:
         return math.ldexp(full ** (1.0 / r), -2 * p * e // r)
     return float(total) ** (1.0 / r)

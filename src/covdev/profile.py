@@ -6,7 +6,8 @@ cell is an int or a Fraction (in a file, an integer or "p/q"; a bool is a
 float), else float: a read-only float64 array.  An exact profile is an
 integer numerator matrix N over the least common denominator D, int64 when it
 fits, else Python ints, plus the float view N_ij / D, correctly rounded.
-`numerators` is the one exact view of the cells of either kind of profile.
+`numerators` is the one exact view of the cells of either kind of profile,
+and `VarianceProfile(rows)` the one path from Python cells to a profile.
 A file is JSON iff its first non-blank character is "[" or "{", else CSV.
 A negative cell, or one with no finite float64 value, is a ProfileDomainError.
 Parameters are computed once per profile (see params).  The structured
@@ -49,9 +50,9 @@ class VarianceProfile:
     """Immutable d x n matrix of nonnegative standard-deviation weights.
 
     `VarianceProfile(entries)` takes rows of cells or a 2-D ndarray; it is
-    exact iff every cell passes _is_exact, or the ndarray has an integer dtype.
-    Equality compares values: exact profiles are kept in lowest terms, so their
-    (N, D) are unique.
+    exact iff every cell passes _is_exact, or the ndarray has an integer dtype,
+    else float, each cell of the rows through _float.  Equality compares
+    values: exact profiles are kept in lowest terms, so their (N, D) are unique.
     """
 
     def __init__(self, entries):
@@ -61,6 +62,7 @@ class VarianceProfile:
         else:
             rows = [tuple(r) for r in entries]
             exact = all(_is_exact(x) for row in rows for x in row)
+            rows = rows if exact else [tuple(map(_float, row)) for row in rows]
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise ProfileFormatError(f"row {i + 1} has {len(row)} cells, expected {len(rows[0])}", line=i + 1)
@@ -158,10 +160,10 @@ def _ratio(num: int, den: int):
     return num // g if g == den else f"{num // g}/{den // g}"
 
 
-def _float(x) -> float:
-    """float(x), or inf for a rational beyond the float64 range."""
+def _float(x, k: int = 0) -> float:
+    """float(x) * 2^k, or inf where that passes the float64 range (float and math.ldexp raise there)."""
     try:
-        return float(x)
+        return math.ldexp(float(x), k)
     except OverflowError:
         return math.inf
 
@@ -200,8 +202,10 @@ def _parse_cell(text: str) -> Entry:
 def _from_cells(numbered: list[tuple[int, object]], split, unit: str) -> VarianceProfile:
     """Profile of numbered rows; `split(row)` gives a row's cell strings, one row
     at a time to bound memory.  Every cell is converted in one pass when all are
-    integers (exact) or all are floats (so none is a ratio), else one by one;
-    errors name rows as f"{unit} {number}"."""
+    integers (exact) or all are floats (so none is a ratio), else parsed one by
+    one into VarianceProfile; errors name rows as f"{unit} {number}"."""
+    if not numbered:
+        raise ProfileDomainError("empty matrix")
     for parse, den in ((int, 1), (float, None)):
         try:
             data = [list(map(parse, split(row))) for _, row in numbered]
@@ -223,9 +227,7 @@ def _from_cells(numbered: list[tuple[int, object]], split, unit: str) -> Varianc
             except ValueError as exc:
                 raise ProfileFormatError(f"{unit} {k}: bad cell {cell.strip()!r}", line=k) from exc
         parsed.append(row)
-    if any(isinstance(x, float) for row in parsed for x in row):
-        return VarianceProfile._of(np.array([[_float(x) for x in row] for row in parsed]), None)
-    return VarianceProfile._of(*_exact_parts(parsed))
+    return VarianceProfile(parsed)
 
 
 def _load_csv(text: str) -> VarianceProfile:
@@ -234,8 +236,6 @@ def _load_csv(text: str) -> VarianceProfile:
         raise ProfileFormatError("blank line before any data", line=1)
     # blank lines after the first data line are skipped
     numbered = [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
-    if not numbered:
-        raise ProfileDomainError("empty matrix")
     return _from_cells(numbered, lambda line: line.split(","), "line")
 
 
@@ -258,8 +258,6 @@ def _load_json(text: str) -> VarianceProfile:
             raise ProfileFormatError(f"entries has {len(ent) if isinstance(ent, list) else '?'} rows, d={d}")
         if any(not isinstance(r, list) or len(r) != n for r in ent):
             raise ProfileFormatError(f"entries rows must all have n={n} cells")
-    if not ent:
-        raise ProfileDomainError("empty matrix")
     for i, raw in enumerate(ent, start=1):
         if not isinstance(raw, list):
             raise ProfileFormatError(f"row {i} is not an array", line=i)
@@ -306,7 +304,8 @@ def rank_one(a: Sequence, b: Sequence) -> VarianceProfile:
         if int(na.max(initial=0)) * int(nb.max(initial=0)) >= 2**63:
             na, nb = na.astype(object), nb.astype(object)
         return VarianceProfile._of(np.outer(na, nb), da * db)
-    return VarianceProfile._of(np.outer([_float(x) for x in a], [_float(x) for x in b]), None)
+    with np.errstate(over="ignore"):  # an inf product is the profile's own ProfileDomainError
+        return VarianceProfile._of(np.outer([_float(x) for x in a], [_float(x) for x in b]), None)
 
 
 def bounded_ratio(base: VarianceProfile, K: float) -> VarianceProfile:

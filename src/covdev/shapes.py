@@ -57,7 +57,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .oracle import joint_moment
+from .oracle import _check_order, joint_moment
 from .params import CASE_LE, CASE_NA, _once, beta_case, normalized_params, normalized_schatten_params
 from .profile import ResourceLimitError, VarianceProfile, _float
 
@@ -143,8 +143,7 @@ def shape_classes(p: int) -> tuple[tuple[Shape, int], ...]:
 
 
 def _walk(p: int, cap: int) -> list[Shape]:
-    if p < 1 or cap < 1:
-        raise ValueError(f"p must be >= 1, got {p}" if p < 1 else f"cap must be >= 1, got {cap}")
+    _check_order(p, cap)
     if p > cap:
         raise ResourceLimitError(f"shape order {p} above cap {cap}")
     shapes: list[Shape] = []

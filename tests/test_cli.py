@@ -814,6 +814,34 @@ class TestOrderBelowOne:
         assert env["payload"] == {"error": {"type": "ValueError", "message": "p must be >= 1, got 0"}}
 
 
+class TestOneRulePerInput:
+    @pytest.mark.parametrize("command", ["params", "bounds", "simulate"])
+    def test_odd_schatten_order_same_message(self, capsys, command):
+        status, out, err = run_cli(capsys, command, "--family", "constant", "--d", "1", "--n", "1", "--p", "3")
+        assert status == 2 and "Traceback" not in err
+        assert payload_of(out)["error"] == {"type": "ValueError", "message": "p must be an even integer >= 2, got 3"}
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--family", "constant", "--d", "1000000000000000000000", "--n", "1"],
+        ["examples", "--family", "constant", "--grid", "100000000000000000000000x1"],
+        ["oracle", "--family", "constant", "--d", "2", "--n", "2", "--p", "100000000000000000000"],
+    ], ids=["params_d", "examples_grid", "oracle_p"])
+    def test_size_past_the_index_range_exit_2(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and "Traceback" not in err
+        env = json.loads(out)
+        assert env["command"] == argv[0]
+        assert env["payload"]["error"]["type"] == "OverflowError"
+        assert err == f"covdev: {env['payload']['error']['message']}\n"
+
+    def test_overflowing_rank_one_product_has_no_numpy_warning(self, capsys):
+        argv = ["params", "--family", "rank_one", "--d", "1", "--n", "1", "--a", "1e200", "--b", "1e200"]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert payload_of(out)["error"]["type"] == "ProfileDomainError"
+        assert err == "covdev: entry with no finite float64 value in row 1\n"
+
+
 class TestDeterminism:
     def test_bounds_byte_identical(self, capsys, profile_file):
         _, out1, _ = run_cli(capsys, "bounds", "--profile", profile_file, "--p", "2,4")

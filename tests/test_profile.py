@@ -309,6 +309,15 @@ class TestProfileObject:
         with pytest.raises(ProfileDomainError):
             VarianceProfile(((float("nan"),),))
 
+    @pytest.mark.parametrize("big", [Fraction(10**400), 10**400], ids=["fraction", "int"])
+    def test_cell_past_float64_is_the_loaders_error(self, big):
+        # the constructor and the loader share one path from cells to a profile
+        with pytest.raises(ProfileDomainError) as loaded:
+            load_profile(f"{10**400},0.5\n")
+        with pytest.raises(ProfileDomainError) as built:
+            VarianceProfile([[big, 0.5]])
+        assert str(built.value) == str(loaded.value) == "entry with no finite float64 value in row 1"
+
     def test_numerators(self):
         B = load_profile("1/2,3\n0,5/4")
         nums, den = B.numerators

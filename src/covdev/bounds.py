@@ -22,9 +22,10 @@ total plus a warning.  Division conventions: sigma_inf/sigma_C is 0 when
 sigma_C = 0, and the branch rule uses the beta zero conventions of the
 params module.  Every bound is homogeneous of degree 2 in B, so each
 evaluator builds its terms from the parameters of 2^-e B (see params) and the
-report scales them by 2^(2e) once, inf on overflow.  As e is even, the
-half-degree factors of the free-probability comparator are exact at normal
-scales but rounded anew under an odd power of two.
+report scales them by 2^(2e) once, inf on overflow.  As 2^-e B is the same
+array at every power-of-two scale, every term, the free-probability
+comparator's half-degree factors included, is its exact image wherever it
+is normal.
 """
 
 from __future__ import annotations

@@ -105,8 +105,9 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
     """Mean and standard error of ||M|| and of Tr(M^p) for each p in
     cfg.p_list, M = X X^T - E X X^T, over cfg.samples draws.
 
-    E X X^T = diag(sum_j b_ij^2), and M is assembled from one computed
-    triangle, so it is exactly symmetric.  Returns the opnorm estimate followed
+    E X X^T = diag(sum_j b_ij^2).  M is the transposed product with that
+    diagonal subtracted, and the eigensolver reads only its lower triangle, so
+    M is taken from one computed triangle.  Returns the opnorm estimate followed
     by one schatten_trace(p) estimate per entry of cfg.p_list; those also
     report mean**(1/p).  For even p the trace is nonnegative.
     """
@@ -133,14 +134,13 @@ def estimate_deviation(B: VarianceProfile, cfg: SimConfig) -> list[MomentEstimat
                 for t, g in enumerate(X):
                     stream(start + t).standard_normal(out=g)
                 X *= arr
-                C = X @ X.transpose(0, 2, 1)
-                upper = np.triu(C, 1)
-                M = upper + upper.transpose(0, 2, 1)
-                M[:, range(d), range(d)] = np.diagonal(C, axis1=1, axis2=2) - expected_diag
+                M = (X @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
+                M[:, range(d), range(d)] -= expected_diag
                 vals = _eigvalsh(M, start)
                 cols[0, start:stop] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-                for row, p in zip(cols[1:], cfg.p_list):
-                    row[start:stop] = np.sum(vals**p, axis=1)
+                with np.errstate(over="ignore"):  # per thread: a trace past the float range is inf, unwarned
+                    for row, p in zip(cols[1:], cfg.p_list):
+                        row[start:stop] = np.sum(vals**p, axis=1)
         except BaseException as exc:
             with lock:
                 failures[c] = exc

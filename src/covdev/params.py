@@ -30,22 +30,20 @@ Each parameter is homogeneous in B, of degree
     0   beta_inf, beta_p, eff_rank
 
 This is the one module that knows a profile's scale.  With e =
-frexp(max_ij b_ij)[1] rounded up to even, the parameters of 2^-e B are
-computed once per profile object and kept on it (`normalized_params`,
-`normalized_schatten_params`), and `compute_params` and
-`compute_schatten_params` return them times 2^(degree * e), inf on overflow.
-An exact profile whose cells all lie below the normal range is normalised
-from its exact cells, which its float cells have lost.
+frexp(max_ij b_ij)[1], the parameters of 2^-e B are computed once per profile
+object and kept on it (`normalized_params`, `normalized_schatten_params`), and
+`compute_params` and `compute_schatten_params` return them times
+2^(degree * e), inf on overflow.  An exact profile whose cells all lie below
+the normal range is normalised from its exact cells, which its float cells
+have lost.  Each Schatten root is taken with the largest term of its sum
+factored out: every term left lies in [0, 1] and the sum in [1, d], so the
+root neither overflows nor underflows at any p.
 Power-of-two scaling is exact while no value leaves the normal range
 (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-2002, sec. 2.1): outputs at normal scales are those of B itself, and across
-the float range they scale exactly by powers of two, the betas not at all.
-The exception is a Schatten root, and so beta_p.  It is taken of the
-full-scale sum where that is normal, which keeps the plain root there, else
-of the normalised sum; libm's pow is not correctly rounded, so the switch can
-move it in the last place, and for p >= 6, where 1/p is rounded, it drifts
-from the power-of-two image by up to about 1e-14 relative.  Float reductions
-use numpy's pairwise accumulation; max-reductions are exact.
+2002, sec. 2.1), so 2^-e B is the same array at every scale 2^k B: every
+parameter is the exact power-of-two image of that of B wherever it is
+normal, and the betas do not move at all.  Float reductions use numpy's
+pairwise accumulation; max-reductions are exact.
 """
 
 from __future__ import annotations
@@ -117,14 +115,12 @@ def _pair_sums(B: VarianceProfile) -> tuple[int, np.ndarray, np.ndarray]:
     values = B.as_array()
     if B.exact and not B.is_zero and values.max() < sys.float_info.min:
         # every cell is below the normal range, where its float has lost it:
-        # scale the exact cells into range by an even power of two 2^s first
+        # scale the exact cells into range by a power of two 2^s first
         nums, den = B.numerators
         s = den.bit_length() - nums.max().bit_length() + 2
-        s += s % 2
         e, S, A = _pair_sums(VarianceProfile._of(nums << s, den))
         return e - s, S, A
     e = math.frexp(float(values.max()))[1]
-    e += e % 2
     S = np.ldexp(values, -e)
     S *= S
     return e, S, S @ S.T
@@ -182,25 +178,21 @@ def _check_schatten_order(p) -> None:
         raise ValueError(f"p must be an even integer >= 2, got {p!r}")
 
 
-def _root(total, r: int, p: int, e: int) -> float:
-    """The r-th root, as a parameter of 2^-e B, of a degree-2p sum over 2^-e B:
-    taken of the full-scale sum 2^(2pe) total where that is a normal float,
-    else of the normalised sum."""
-    full = _float(total, 2 * p * e)
-    if sys.float_info.min <= full < math.inf:
-        return math.ldexp(full ** (1.0 / r), -2 * p * e // r)
-    return float(total) ** (1.0 / r)
+def _root(t: np.ndarray, k: int) -> float:
+    """The 2k-th root of sum_i t_i^k, taken as sqrt(m) (sum_i (t_i/m)^k)^(1/(2k))
+    with m = max_i t_i: every power lies in [0, 1] and the sum in [1, len(t)]."""
+    m = float(t.max())
+    return math.sqrt(m) * float(np.sum((t / m) ** k)) ** (1.0 / (2 * k)) if m > 0 else 0.0
 
 
 def _schatten_params(B: VarianceProfile, p: int) -> tuple[int, SchattenParams]:
     e, S, A = _once(B, "pair_sums", _pair_sums)
     diag = np.diagonal(A)
     rows = A.sum(axis=1)
-    half = p // 2
-    sigma_p = _root(np.sum(rows**half), p, p, e)
-    sigma_p_prime = _root(np.sum(np.maximum(rows - diag, 0.0) ** half), p, p, e)
-    sigma_bar_p = _root(np.sum(diag**half), p, p, e)
-    b_p = _root(np.sum(S.max(axis=1) ** p), 2 * p, p, e)
+    sigma_p = _root(rows, p // 2)
+    sigma_p_prime = _root(np.maximum(rows - diag, 0.0), p // 2)
+    sigma_bar_p = _root(diag, p // 2)
+    b_p = _root(S.max(axis=1), p)
     sigma_C = normalized_params(B)[1].sigma_C
     return e, SchattenParams(
         p=p, sigma_p=sigma_p, sigma_p_prime=sigma_p_prime, sigma_bar_p=sigma_bar_p,

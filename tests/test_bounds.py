@@ -90,13 +90,22 @@ class TestSchattenUpperBound:
     def test_zero(self):
         assert schatten_upper_bound(ZERO, 2).total == 0.0
 
-    def test_constant_2x2_p2_branch_and_total(self):
-        cfg = BoundConfig()
-        r = schatten_upper_bound(CONST22, 2, cfg)
-        assert r.case_taken == "beta_le_1"  # beta_p = 2^{-1/4}
-        sp, sc, star, bp = math.sqrt(8), math.sqrt(2), 1.0, 2**0.25
-        expect = math.sqrt(2) * (2 * sp + 2 + math.sqrt(2) * (sc * star + sp * star / sc) + 2 * bp**2)
+    @staticmethod
+    def _constant_2x2_branch_and_total(p):
+        r = schatten_upper_bound(CONST22, p, BoundConfig())
+        assert r.case_taken == "beta_le_1"  # beta_p = 2^{-1/(2p)}
+        sp, sc, star, bp = 2 * 2 ** (1 / p), math.sqrt(2), 1.0, 2 ** (1 / (2 * p))
+        expect = 2 ** (1 / p) * (2 * sp + 2 + math.sqrt(p) * (sc * star + sp * star / sc) + p * bp**2)
         assert close(r.total, expect)
+
+    def test_constant_2x2_p2_branch_and_total(self):
+        self._constant_2x2_branch_and_total(2)
+
+    @pytest.mark.parametrize("p", [268, 270])
+    def test_constant_2x2_large_p_branch_and_total(self, p):
+        # from p = 270 the plain power sum behind b_p, and so the p b_p^2 tail,
+        # passes below the float range
+        self._constant_2x2_branch_and_total(p)
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):

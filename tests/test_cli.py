@@ -489,6 +489,16 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers, d, n, samples", [(1, "2", "3", "5"), (2, "20", "400", "40")])
+    def test_trace_past_the_float_range_is_inf_without_a_warning(self, capsys, monkeypatch, workers, d, n, samples):
+        # numpy's error state is per thread, so each worker must silence the overflow itself
+        monkeypatch.setattr(montecarlo, "_workers", lambda d, n: workers)
+        status, out, err = run_cli(
+            capsys, "simulate", "--family", "constant", "--d", d, "--n", n, "--samples", samples, "--p", "2000"
+        )
+        assert status == 0 and err == ""
+        assert payload_of(out)["estimates"][1]["mean"] == "inf"
+
 
 class TestOracleCommand:
     def test_moments_with_shape_sum(self, capsys, profile_file):

@@ -84,13 +84,16 @@ class TestComputeParams:
 
 
 class TestSchattenParams:
-    def test_constant_2x2_p2(self):
-        Q = compute_schatten_params(rank_one([1] * 2, [1] * 2), 2)
-        assert close(Q.sigma_p, math.sqrt(8))
-        assert close(Q.sigma_p_prime, 2.0)
-        assert close(Q.sigma_bar_p, 2.0)
-        assert close(Q.b_p, 2**0.25)
-        assert close(Q.beta_p, 2**-0.25)
+    @pytest.mark.parametrize("d, p", [(2, 2), (2, 270), (2, 360), (2, 1000), (500, 206)])
+    def test_constant_d_by_d(self, d, p):
+        # the plain power sums of 2^-e B pass below the float range from p = 270 at
+        # d = 2, and sigma_p^p = d^(p+1) past it at d = 500, p = 206
+        Q = compute_schatten_params(rank_one([1] * d, [1] * d), p)
+        assert close(Q.sigma_p, d * d ** (1 / p))
+        assert close(Q.sigma_p_prime, math.sqrt(d * (d - 1)) * d ** (1 / p))
+        assert close(Q.sigma_bar_p, math.sqrt(d) * d ** (1 / p))
+        assert close(Q.b_p, d ** (1 / (2 * p)))
+        assert close(Q.beta_p, d ** (-1 / (2 * p)))
 
     def test_iid_rows_p2(self):
         # sigma_bar_p = d^{1/p} ||b||_4^2

@@ -29,6 +29,7 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -49,14 +50,6 @@ from .profile import (
 # --- canonical JSON ------------------------------------------------------
 
 
-def _float_repr(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
 def _fields(obj) -> dict:
     """A dataclass's fields in declaration order, a field whose value is None left out."""
     return {f.name: v for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None}
@@ -65,49 +58,57 @@ def _fields(obj) -> dict:
 _CONTROL = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """JSON with 17-significant-digit floats and insertion-ordered keys; a
-    dataclass is written as the object of its fields (see _fields).
+def _string(s: str) -> str:
+    out = s.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{out if out.isprintable() else out.translate(_CONTROL).encode("utf-8", "backslashreplace").decode()}"'
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" (from the beta
-    conventions, or a parameter or bound beyond the float64 range).  Strings
-    escape control characters and lone surrogates (undecodable argv bytes
-    become those) as \\uXXXX, so the output is JSON in strict UTF-8; every
-    other character is written as is.
+
+# exact type -> the text of a scalar of it, in isinstance order (Decimal prints a Fraction's ints of any length)
+_SCALARS = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", int: str,
+            float: lambda x: format(x, ".17g") if math.isfinite(x)
+            else '"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"',
+            str: _string, Fraction: lambda q: f'"{Decimal(q.numerator)}"' if q.denominator == 1
+            else f'"{Decimal(q.numerator)}/{Decimal(q.denominator)}"'}
+
+
+def dumps_canonical(obj) -> str:
+    """JSON with 17-significant-digit floats and insertion-ordered keys; a dataclass is written as the object
+    of its fields (see _fields), a subclass as its first written type in isinstance order (np.float64 as a
+    float), and any other type raises TypeError.  Non-finite floats become the strings "inf"/"-inf"/"nan"
+    (from the beta conventions, or a parameter or bound beyond the float64 range).  Strings escape control
+    characters and lone surrogates (undecodable argv bytes become those) as \\uXXXX, so the output is JSON
+    in strict UTF-8; every other character is written as is.  One loop appends the text to one list, each
+    list of exact ints as one piece, with each depth's separators built once.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_repr(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        if not out.isprintable():
-            out = out.translate(_CONTROL).encode("utf-8", "backslashreplace").decode()
-        return f'"{out}"'
-    if isinstance(obj, Fraction):  # through Decimal, which prints ints of any length
-        text = str(Decimal(obj.numerator))
-        if obj.denominator != 1:
-            text += "/" + str(Decimal(obj.denominator))
-        return f'"{text}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{dumps_canonical(str(k))}: {dumps_canonical(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if dataclasses.is_dataclass(obj):
-        return dumps_canonical(_fields(obj), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    parts, levels, stack = [], [], []  # stack: the containers above the open one, as (items, sep, nxt, close)
+    items, sep, nxt, close = iter((("", obj),)), "", "", ""  # items: (key text, value) pairs
+    while True:
+        for key, value in items:
+            if (f := _SCALARS.get(type(value))) is None and type(value) not in (dict, list, tuple):
+                kind = next((k for k in (*_SCALARS, dict, list, tuple) if isinstance(value, k)), None)
+                if kind is None and not dataclasses.is_dataclass(value):
+                    raise TypeError(f"cannot serialize {type(value).__name__}")
+                value, f = (value, _SCALARS.get(kind)) if kind else (_fields(value), None)
+            if f is not None or not value:
+                parts.append(sep + key + (f(value) if f else "{}" if isinstance(value, dict) else "[]"))
+            else:
+                if len(levels) == len(stack):  # (first item's, next items', closing) separator
+                    levels.append(tuple(s + "  " * len(stack) for s in ("\n  ", ",\n  ", "\n")))
+                first, inner, end = levels[len(stack)]
+                if not (keyed := isinstance(value, dict)) and set(map(type, value)) == {int}:
+                    parts.append(f"{sep}{key}[{first}{inner.join(map(str, value))}{end}]")
+                else:
+                    stack.append((items, nxt, nxt, close))
+                    parts.append(sep + key + ("{" if keyed else "["))
+                    items = ((_string(str(k)) + ": ", v) for k, v in value.items()) if keyed else zip(repeat(""), value)
+                    sep, nxt, close = first, inner, end + ("}" if keyed else "]")
+                    break
+            sep = nxt
+        else:
+            if not stack:
+                return "".join(parts)
+            parts.append(close)
+            items, sep, nxt, close = stack.pop()
 
 
 def _envelope(command: str, payload: dict, profile_bytes: bytes | None) -> dict:
@@ -296,18 +297,17 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
 
 def cmd_shapes(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args) if args.profile or args.family else (None, None)
-    census = []
+    census, fields = [], {}  # edge class -> its m1, m2, multiplicities, L and W, built once per class
     for p in args.p:
         for s in shapes.enumerate_shapes(p, cap=args.cap):
-            c = s.edge_class  # m1, m2, multiplicities and L are read from the class
-            entry = {"p": p, "left_seq": list(s.left_seq), "right_seq": list(s.right_seq), "m1": c.m1, "m2": c.m2,
-                     "multiplicities": sorted(c.edge_mult.values(), reverse=True), "L": shapes.L_value(c)}
-            if B is not None:
-                w = shapes.W_value(s, B)
-                entry["W"] = _float(w)
-                if B.exact:
-                    entry["W_exact"] = w
-            census.append(entry)
+            if (c := s.edge_class) not in fields:
+                fields[c] = {"m1": c.m1, "m2": c.m2, "multiplicities": sorted(c.edge_mult.values(), reverse=True),
+                             "L": shapes.L_value(c)}
+                if B is not None:
+                    fields[c]["W"] = _float(w := shapes.W_value(c, B))
+                    if B.exact:
+                        fields[c]["W_exact"] = w
+            census.append({"p": p, "left_seq": list(s.left_seq), "right_seq": list(s.right_seq), **fields[c]})
     payload = {"count": len(census), "shapes": census}
     return payload, raw, 0
 

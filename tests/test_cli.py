@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,12 +6,15 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covdev import bounded_ratio, cli, diag_trace_moment, load_profile, montecarlo, oracle, shapes
 from covdev.cli import dumps_canonical, main
@@ -43,6 +47,74 @@ def profile_file(tmp_path):
     return str(path)
 
 
+# quotes, backslashes, control characters, a lone surrogate, non-ASCII and the rest of Unicode
+CHARACTERS = st.one_of(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\ud800", "\udfff", "é", "\u2028"]),
+                       st.characters(exclude_categories=()))
+
+
+@dataclasses.dataclass
+class Pair:
+    first: object
+    second: object = None
+
+
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Row(tuple):
+    pass
+
+
+_REFERENCE_CONTROL = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+
+
+def reference_dumps(obj, indent: int = 0) -> str:
+    """The recursive canonical writer the CLI used before its flat one, kept as the reference."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return '"nan"'
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        if not out.isprintable():
+            out = out.translate(_REFERENCE_CONTROL).encode("utf-8", "backslashreplace").decode()
+        return f'"{out}"'
+    if isinstance(obj, Fraction):
+        text = str(Decimal(obj.numerator))
+        if obj.denominator != 1:
+            text += "/" + str(Decimal(obj.denominator))
+        return f'"{text}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}{reference_dumps(str(k))}: {reference_dumps(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_dumps(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: v for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None}
+        return reference_dumps(fields, indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 class TestCanonicalJson:
     def test_seventeen_digit_floats(self):
         text = dumps_canonical({"x": 1 / 3})
@@ -62,6 +134,34 @@ class TestCanonicalJson:
     def test_unsupported_object_raises(self):
         with pytest.raises(TypeError, match="cannot serialize object"):
             dumps_canonical(object())
+
+    @pytest.mark.parametrize("obj, name", [(set(), "set"), (np.int64(1), "int64"), (b"", "bytes"),
+                                           ([1, {"a": {2}}], "set"), (np.bool_(True), "bool")])
+    def test_other_unsupported_types_raise(self, obj, name):
+        with pytest.raises(TypeError, match=f"cannot serialize {name}$"):
+            dumps_canonical(obj)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(-(2**200), 2**200),
+            st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
+            st.floats().map(np.float64), st.integers().map(Count), st.text(CHARACTERS), st.text().map(Name),
+            st.fractions(),
+            st.builds(Fraction, st.integers(10**4300, 10**4400), st.integers(1, 10**4400)),
+        ),
+        lambda children: st.one_of(
+            st.lists(children), st.lists(children).map(tuple), st.lists(children).map(Row),
+            st.lists(st.integers(-(2**200), 2**200)), st.lists(st.integers()).map(tuple),
+            st.dictionaries(st.one_of(st.text(CHARACTERS), st.integers(), st.booleans(), st.none(), st.floats(),
+                                      st.fractions()), children),
+            st.builds(Pair, children, st.none() | children),
+        ),
+        max_leaves=40,
+    ))
+    def test_same_bytes_as_the_recursive_writer(self, obj):
+        assert dumps_canonical(obj) == reference_dumps(obj)
+
 
 
 class TestParamsCommand:
@@ -636,6 +736,43 @@ class TestShapesCommand:
             assert proc.wait(timeout=120) == 2
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.startswith("covdev: ")
+
+    def test_weights_and_fields_once_per_class(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "five.csv"  # a 5x5 exact profile of nonzero cells, as the benchmark's census uses
+        path.write_text("".join(",".join(f"{rng.integers(1, 7)}/{rng.integers(1, 5)}" for _ in range(5)) + "\n"
+                                for _ in range(5)))
+        calls = Counter()
+        for name in ("W_value", "L_value"):
+            def spy(*args, _name=name, _fn=getattr(shapes, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(shapes, name, spy)
+        payload, _, _ = cli.cmd_shapes(cli.build_parser().parse_args(["shapes", "--p", "6", "--profile", str(path)]))
+        assert payload["count"] == 247 and len(shapes.shape_classes(6)) == 24
+        assert calls == {"W_value": 24, "L_value": 24}
+
+    @pytest.mark.parametrize("cells", [None, "1,2/3,0\n3,4,1/5\n0,1,2\n", "0.5,2,1e-3\n3,0,4.25\n1,7,0.1\n"],
+                             ids=["no_profile", "exact", "float"])
+    def test_rows_equal_the_per_shape_rows(self, tmp_path, cells):
+        argv, B = ["shapes", "--p", "2,3,4,5,6"], None
+        if cells is not None:
+            path = tmp_path / "prof.csv"
+            path.write_text(cells)
+            argv, B = argv + ["--profile", str(path)], load_profile(path.read_bytes())
+        expected = []
+        for p in range(2, 7):
+            for s in shapes.enumerate_shapes(p):
+                row = {"p": p, "left_seq": list(s.left_seq), "right_seq": list(s.right_seq), "m1": s.m1, "m2": s.m2,
+                       "multiplicities": sorted(s.edge_mult.values(), reverse=True), "L": shapes.L_value(s)}
+                if B is not None:
+                    row["W"] = cli._float(w := shapes.W_value(s, B))
+                    if B.exact:
+                        row["W_exact"] = w
+                expected.append(row)
+        rows = cli.cmd_shapes(cli.build_parser().parse_args(argv))[0]["shapes"]
+        assert rows == expected
+        assert [list(row) for row in rows] == [list(row) for row in expected]
 
     def test_weight_beyond_float_range_prints_inf(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

@@ -325,6 +325,38 @@ class TestEnumerate:
         assert hashlib.sha256(repr(order).encode()).hexdigest() == ORDER_SHA256[p]
 
 
+class TestCensusCache:
+    def test_one_walk_per_order(self):
+        shapes._census.cache_clear()
+        shapes.shape_classes.cache_clear()
+        first = enumerate_shapes(6)
+        assert enumerate_shapes(6) == first and len(first) == 247
+        assert sum(n for _, n in shapes.shape_classes(6)) == 247
+        info = shapes._census.cache_info()
+        assert (info.misses, info.hits) == (1, 2)  # each miss is one walk
+
+    def test_a_returned_list_is_the_callers(self):
+        first = enumerate_shapes(5)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert enumerate_shapes(5) == expected
+
+    @pytest.mark.parametrize("make, kind, message", [
+        (lambda: enumerate_shapes(9), ResourceLimitError, "shape order 9 above cap 8"),
+        (lambda: enumerate_shapes(3, cap=2), ResourceLimitError, "shape order 3 above cap 2"),
+        (lambda: enumerate_shapes(2, cap=0), ValueError, "cap must be >= 1, got 0"),
+        (lambda: enumerate_shapes(0), ValueError, "p must be >= 1, got 0"),
+        (lambda: shapes.shape_classes(9), ResourceLimitError, "shape order 9 above cap 8"),
+    ], ids=["above_default_cap", "above_cap", "cap_0", "order_0", "classes_above_cap"])
+    def test_checks_run_on_a_cached_census(self, make, kind, message):
+        enumerate_shapes(2), enumerate_shapes(3)  # the orders 2 and 3 are cached
+        for _ in range(2):
+            with pytest.raises(kind) as info:
+                make()
+            assert type(info.value) is kind and str(info.value) == message
+
+
 class TestLValue:
     def test_p2_shape(self):
         assert L_value(enumerate_shapes(2)[0]) == 1

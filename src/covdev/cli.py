@@ -29,6 +29,7 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -50,6 +51,14 @@ from .profile import (
 # --- canonical JSON ------------------------------------------------------
 
 
+def _float_repr(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
 def _fields(obj) -> dict:
     """A dataclass's fields in declaration order, a field whose value is None left out."""
     return {f.name: v for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None}
@@ -60,55 +69,88 @@ _CONTROL = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\n"): "\\n", ord("\r"
 
 def _string(s: str) -> str:
     out = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{out if out.isprintable() else out.translate(_CONTROL).encode("utf-8", "backslashreplace").decode()}"'
+    if not out.isprintable():
+        out = out.translate(_CONTROL).encode("utf-8", "backslashreplace").decode()
+    return f'"{out}"'
 
 
-# exact type -> the text of a scalar of it, in isinstance order (Decimal prints a Fraction's ints of any length)
-_SCALARS = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", int: str,
-            float: lambda x: format(x, ".17g") if math.isfinite(x)
-            else '"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"',
-            str: _string, Fraction: lambda q: f'"{Decimal(q.numerator)}"' if q.denominator == 1
-            else f'"{Decimal(q.numerator)}/{Decimal(q.denominator)}"'}
+def _fraction(q: Fraction) -> str:
+    text = str(Decimal(q.numerator))  # through Decimal, which prints ints of any length
+    if q.denominator != 1:
+        text += "/" + str(Decimal(q.denominator))
+    return f'"{text}"'
+
+
+# exact type -> the writer of a scalar of that type, in the isinstance order of _written_as
+_SCALARS = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", int: str, float: _float_repr,
+            str: _string, Fraction: _fraction}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _written_as(value) -> tuple:
+    """(value, its scalar writer) for a value of no exact written type: a subclass is written as its first
+    written type in isinstance order (None for a container), a dataclass as the dict of its _fields."""
+    for kind in (*_SCALARS, *_CONTAINERS):
+        if isinstance(value, kind):
+            return value, _SCALARS.get(kind)
+    if dataclasses.is_dataclass(value):
+        return _fields(value), None
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+@lru_cache(maxsize=None)
+def _separators(depth: int) -> tuple[str, str, str]:
+    """(before the first item, between items, before the closing bracket) in a container at this depth."""
+    pad = "\n" + "  " * depth
+    return pad + "  ", "," + pad + "  ", pad
 
 
 def dumps_canonical(obj) -> str:
-    """JSON with 17-significant-digit floats and insertion-ordered keys; a dataclass is written as the object
-    of its fields (see _fields), a subclass as its first written type in isinstance order (np.float64 as a
-    float), and any other type raises TypeError.  Non-finite floats become the strings "inf"/"-inf"/"nan"
-    (from the beta conventions, or a parameter or bound beyond the float64 range).  Strings escape control
-    characters and lone surrogates (undecodable argv bytes become those) as \\uXXXX, so the output is JSON
-    in strict UTF-8; every other character is written as is.  One loop appends the text to one list, each
-    list of exact ints as one piece, with each depth's separators built once.
+    """JSON with 17-significant-digit floats and insertion-ordered keys; a
+    dataclass is written as the object of its fields, a subclass as its first
+    written type, and any other type raises TypeError (see _written_as).
+
+    Non-finite floats become the strings "inf"/"-inf"/"nan" (from the beta
+    conventions, or a parameter or bound beyond the float64 range).  Strings
+    escape control characters and lone surrogates (undecodable argv bytes
+    become those) as \\uXXXX, so the output is JSON in strict UTF-8; every
+    other character is written as is.  One loop over a stack of the open
+    containers appends the text to one list, a list of exact ints as one piece.
     """
-    parts, levels, stack = [], [], []  # stack: the containers above the open one, as (items, sep, nxt, close)
-    items, sep, nxt, close = iter((("", obj),)), "", "", ""  # items: (key text, value) pairs
+    parts = []
+    stack = []  # (items, inner, close) of each open container above the current one
+    items = iter([("", obj)])  # (key text, value) pairs of the current container
+    sep = inner = close = ""  # before the next item, between items, and closing the current container
     while True:
         for key, value in items:
-            if (f := _SCALARS.get(type(value))) is None and type(value) not in (dict, list, tuple):
-                kind = next((k for k in (*_SCALARS, dict, list, tuple) if isinstance(value, k)), None)
-                if kind is None and not dataclasses.is_dataclass(value):
-                    raise TypeError(f"cannot serialize {type(value).__name__}")
-                value, f = (value, _SCALARS.get(kind)) if kind else (_fields(value), None)
-            if f is not None or not value:
-                parts.append(sep + key + (f(value) if f else "{}" if isinstance(value, dict) else "[]"))
-            else:
-                if len(levels) == len(stack):  # (first item's, next items', closing) separator
-                    levels.append(tuple(s + "  " * len(stack) for s in ("\n  ", ",\n  ", "\n")))
-                first, inner, end = levels[len(stack)]
-                if not (keyed := isinstance(value, dict)) and set(map(type, value)) == {int}:
-                    parts.append(f"{sep}{key}[{first}{inner.join(map(str, value))}{end}]")
+            write = _SCALARS.get(type(value))
+            if write is None and type(value) not in _CONTAINERS:
+                value, write = _written_as(value)
+            if write is not None:
+                parts.append(sep + key + write(value))
+            elif not value:
+                parts.append(sep + key + ("{}" if isinstance(value, dict) else "[]"))
+            elif not isinstance(value, dict) and set(map(type, value)) == {int}:
+                first, between, end = _separators(len(stack))
+                parts.append(f"{sep}{key}[{first}{between.join(map(str, value))}{end}]")
+            else:  # open the container; its items are written next
+                keyed = isinstance(value, dict)
+                first, between, end = _separators(len(stack))
+                stack.append((items, inner, close))
+                parts.append(sep + key + ("{" if keyed else "["))
+                if keyed:
+                    items = ((_string(str(k)) + ": ", v) for k, v in value.items())
                 else:
-                    stack.append((items, nxt, nxt, close))
-                    parts.append(sep + key + ("{" if keyed else "["))
-                    items = ((_string(str(k)) + ": ", v) for k, v in value.items()) if keyed else zip(repeat(""), value)
-                    sep, nxt, close = first, inner, end + ("}" if keyed else "]")
-                    break
-            sep = nxt
-        else:
+                    items = zip(repeat(""), value)
+                sep, inner, close = first, between, end + ("}" if keyed else "]")
+                break
+            sep = inner
+        else:  # the current container is done
             if not stack:
                 return "".join(parts)
             parts.append(close)
-            items, sep, nxt, close = stack.pop()
+            items, inner, close = stack.pop()
+            sep = inner
 
 
 def _envelope(command: str, payload: dict, profile_bytes: bytes | None) -> dict:
@@ -297,16 +339,20 @@ def cmd_oracle(args) -> tuple[dict, bytes, int]:
 
 def cmd_shapes(args) -> tuple[dict, bytes, int]:
     B, raw = _profile_from_args(args) if args.profile or args.family else (None, None)
-    census, fields = [], {}  # edge class -> its m1, m2, multiplicities, L and W, built once per class
+    census = []
+    fields = {}  # edge class -> its m1, m2, multiplicities, L and W, built at its first shape
     for p in args.p:
         for s in shapes.enumerate_shapes(p, cap=args.cap):
-            if (c := s.edge_class) not in fields:
-                fields[c] = {"m1": c.m1, "m2": c.m2, "multiplicities": sorted(c.edge_mult.values(), reverse=True),
-                             "L": shapes.L_value(c)}
+            c = s.edge_class
+            if c not in fields:
+                row = {"m1": c.m1, "m2": c.m2, "multiplicities": sorted(c.edge_mult.values(), reverse=True),
+                       "L": shapes.L_value(c)}
                 if B is not None:
-                    fields[c]["W"] = _float(w := shapes.W_value(c, B))
+                    w = shapes.W_value(c, B)
+                    row["W"] = _float(w)
                     if B.exact:
-                        fields[c]["W_exact"] = w
+                        row["W_exact"] = w
+                fields[c] = row
             census.append({"p": p, "left_seq": list(s.left_seq), "right_seq": list(s.right_seq), **fields[c]})
     payload = {"count": len(census), "shapes": census}
     return payload, raw, 0

@@ -5,10 +5,9 @@ paths u_1 -> v_1 -> u_2 -> ... -> v_p -> u_1 with left labels u in [d] and
 right labels v in [n].  The *shape* of a path relabels each side by order of
 first appearance; the set S collects the shapes with u_k != u_{k+1} for all k
 (cyclically, u_{p+1} = u_1) in which every edge is traversed at least twice.
-_census lists S by one depth-first walk over the 2p half-steps, each side's
-labels a restricted-growth string (Knuth, TAOCP 4A, 7.2.1.5), once per order
-per process; enumerate_shapes copies it and shape_classes counts over it.
-Each shape carries
+enumerate_shapes lists S by one depth-first walk over the 2p half-steps, each
+side's labels a restricted-growth string (Knuth, TAOCP 4A, 7.2.1.5).  Each
+shape carries
 
     L(s) = prod_e mu(k_e)   with mu(k) = (k-1)!! for even k, else 0,
     W(s) = sum over injective label assignments of prod_e b_{w(i) t(j)}^{k_e},
@@ -124,36 +123,29 @@ def _canonical(edges: tuple) -> tuple:
 
 
 def enumerate_shapes(p: int, cap: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
-    """All shapes of S at half-length p in the walk's order, as a new list copied from _census(p);
-    p above the cap raises ResourceLimitError (a cap below 1, ValueError)."""
-    _check_shape_order(p, cap)
-    return list(_census(p))
+    """All shapes of S at half-length p, in deterministic DFS order.
+
+    One recursive walk over the 2p half-steps: half-step 2k picks v_k, then
+    2k+1 picks u_{k+1} != u_k, each in increasing order from the labels
+    already used on its side and the next fresh one; the last u is forced
+    back to u_1 = 1.  A branch is pruned as soon as more edges are traversed
+    exactly once than half-steps are left, so a walk that reaches 2p has
+    every edge at least twice.  p above the cap raises ResourceLimitError (a cap below 1, ValueError).
+    """
+    return _walk(p, cap)
 
 
 @lru_cache(maxsize=None)
 def shape_classes(p: int) -> tuple[tuple[Shape, int], ...]:
-    """(edge_class, number of shapes in it) over S at half-length p, in enumeration order; cached per p."""
-    _check_shape_order(p, DEFAULT_SHAPE_CAP)
-    return tuple(Counter(s.edge_class for s in _census(p)).items())
+    """(edge_class, number of shapes in it) over S at half-length p, in enumeration order; cached per p.  It
+    calls _walk, not enumerate_shapes, so that a call of enumerate_shapes is always one walk."""
+    return tuple(Counter(s.edge_class for s in _walk(p, DEFAULT_SHAPE_CAP)).items())
 
 
-def _check_shape_order(p: int, cap: int) -> None:
-    """oracle._check_order's rule for p and cap, then ResourceLimitError for an order above the cap."""
+def _walk(p: int, cap: int) -> list[Shape]:
     _check_order(p, cap)
     if p > cap:
         raise ResourceLimitError(f"shape order {p} above cap {cap}")
-
-
-@lru_cache(maxsize=None)
-def _census(p: int) -> tuple[Shape, ...]:
-    """S at half-length p by one recursive walk over the 2p half-steps; cached per p.
-
-    Half-step 2k picks v_k, then 2k+1 picks u_{k+1} != u_k, each in
-    increasing order from the labels already used on its side and the next
-    fresh one; the last u is forced back to u_1 = 1.  A branch is pruned as
-    soon as more edges are traversed exactly once than half-steps are left,
-    so a walk that reaches 2p has every edge at least twice.
-    """
     shapes: list[Shape] = []
     u, v = [1], []
     mult: dict[tuple[int, int], int] = {}  # traversals so far per edge (left label, right label)
@@ -178,7 +170,7 @@ def _census(p: int) -> tuple[Shape, ...]:
             mult[e] = c
 
     walk(0, 0)
-    return tuple(shapes)
+    return shapes
 
 
 def L_value(s: Shape) -> int:

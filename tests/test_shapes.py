@@ -325,15 +325,23 @@ class TestEnumerate:
         assert hashlib.sha256(repr(order).encode()).hexdigest() == ORDER_SHA256[p]
 
 
-class TestCensusCache:
-    def test_one_walk_per_order(self):
-        shapes._census.cache_clear()
+class TestCensusWalk:
+    def test_each_census_call_walks_once(self, monkeypatch):
+        walks = []
+
+        def spy(p, cap):
+            walks.append(p)
+            return walk(p, cap)
+
+        walk = shapes._walk
+        monkeypatch.setattr(shapes, "_walk", spy)
         shapes.shape_classes.cache_clear()
         first = enumerate_shapes(6)
         assert enumerate_shapes(6) == first and len(first) == 247
+        assert walks == [6, 6]  # no census is kept across calls
+        assert shapes.shape_classes(6) == shapes.shape_classes(6)
         assert sum(n for _, n in shapes.shape_classes(6)) == 247
-        info = shapes._census.cache_info()
-        assert (info.misses, info.hits) == (1, 2)  # each miss is one walk
+        assert walks == [6, 6, 6]  # shape_classes walks once per order
 
     def test_a_returned_list_is_the_callers(self):
         first = enumerate_shapes(5)
@@ -349,8 +357,8 @@ class TestCensusCache:
         (lambda: enumerate_shapes(0), ValueError, "p must be >= 1, got 0"),
         (lambda: shapes.shape_classes(9), ResourceLimitError, "shape order 9 above cap 8"),
     ], ids=["above_default_cap", "above_cap", "cap_0", "order_0", "classes_above_cap"])
-    def test_checks_run_on_a_cached_census(self, make, kind, message):
-        enumerate_shapes(2), enumerate_shapes(3)  # the orders 2 and 3 are cached
+    def test_checks_keep_their_messages(self, make, kind, message):
+        enumerate_shapes(2), enumerate_shapes(3)
         for _ in range(2):
             with pytest.raises(kind) as info:
                 make()
